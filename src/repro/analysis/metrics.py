@@ -243,16 +243,28 @@ def _total(intervals: List[Tuple[float, float]]) -> float:
 def _timeline(
     intervals: List[Tuple[float, float]], t_end: float, slices: int
 ) -> List[float]:
-    """Busy fraction per equal-width slice of ``[0, t_end]``."""
+    """Busy fraction per equal-width slice of ``[0, t_end]``.
+
+    ``intervals`` must be sorted and disjoint (as :func:`_merge` returns
+    them), so one sweep finds each slice's overlapping intervals.  Only
+    those contribute (every other term of the full sum is ``0.0``), in
+    list order, so the floats equal those of summing over every interval.
+    """
     if t_end <= 0 or slices < 1:
         return []
     width = t_end / slices
     out = []
+    first = 0  # first interval that may still overlap the current slice
     for i in range(slices):
         lo, hi = i * width, (i + 1) * width
-        busy = sum(
-            max(0.0, min(end, hi) - max(start, lo)) for start, end in intervals
-        )
+        while first < len(intervals) and intervals[first][1] <= lo:
+            first += 1
+        busy = 0.0
+        k = first
+        while k < len(intervals) and intervals[k][0] < hi:
+            start, end = intervals[k]
+            busy += min(end, hi) - max(start, lo)
+            k += 1
         out.append(busy / width)
     return out
 

@@ -68,6 +68,7 @@ class HostThread:
             jit_hot_threshold=machine.cfg.jit_hot_threshold,
             jit_max_superblock=machine.cfg.jit_max_superblock,
             trace=machine.trace,
+            decode_caches=task.process.decode_caches,
         )
         self.core = None
         self.proc = None  # sim Process handle, set by FlickMachine.spawn
@@ -605,6 +606,7 @@ class HostThread:
                 jit_hot_threshold=cfg.jit_hot_threshold,
                 jit_max_superblock=cfg.jit_max_superblock,
                 trace=machine.trace,
+                decode_caches=task.process.decode_caches,
             )
         retval = yield from self._run_fallback(target, args)
         machine.stats.observe("latency.degraded_session_ns", self.sim.now - session_start)

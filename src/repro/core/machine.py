@@ -353,10 +353,11 @@ class FlickMachine:
             entry_addr = entry
         task = Task(process, name=f"{process.name}.t{len(self.threads)}")
         self.kernel.register_task(task)
-        port = HostMemoryPort(
-            self.sim, self.cfg, self.phys, self.link, process.page_tables, stats=self.stats
-        )
-        thread = HostThread(self, task, port)
+        if process.host_port is None:
+            process.host_port = HostMemoryPort(
+                self.sim, self.cfg, self.phys, self.link, process.page_tables, stats=self.stats
+            )
+        thread = HostThread(self, task, process.host_port)
         self.threads.append(thread)
         for dev in self.devices:
             dev.platform.start()

@@ -274,9 +274,10 @@ class NxpPlatform:
         if self.current_tables is not tables:
             self.current_tables = tables
             self.port.flush_tlbs()
-            # The decode cache is keyed by virtual PC; a different
-            # address space may map different code at the same PCs.
-            self.cpu.invalidate_decode_cache()
+            # Decodes and superblocks are keyed by virtual PC, and
+            # another address space may map other code at the same PCs:
+            # run on the incoming space's own caches.
+            self.cpu.switch_address_space(task.process.decode_caches, tables)
             self.machine.stats.count("nxp.address_space_switch")
 
     # -- thread execution until it leaves the NxP ----------------------------------

@@ -38,6 +38,7 @@ from repro.sim.stats import StatRegistry
 
 __all__ = [
     "Interpreter",
+    "DecodeCache",
     "MemoryPort",
     "CostModel",
     "EnvCall",
@@ -121,6 +122,24 @@ class CostModel:
         return self._CYCLES.get(op, 1) * self.cycle_ns / self.ipc
 
 
+class DecodeCache(dict):
+    """Decoded instructions of one address space for one interpreter
+    kind: ``pc -> (inst, length, two_part, pause, is_mem)``, valid while
+    the code generation equals :attr:`gen`.
+
+    An address space keeps one per :attr:`Interpreter.decode_key`, and
+    every core running it (each host thread, the NxP while the space is
+    resident, the host-fallback emulator) shares that one.  The key
+    includes the cost model because ``pause`` holds the cycle cost.
+    """
+
+    __slots__ = ("gen",)
+
+    def __init__(self):
+        super().__init__()
+        self.gen: Optional[int] = None
+
+
 def _truncdiv(a: int, b: int) -> int:
     """C-style signed division (truncate toward zero)."""
     q = abs(a) // abs(b)
@@ -147,6 +166,7 @@ class Interpreter:
         jit_hot_threshold: int = 20,
         jit_max_superblock: int = 64,
         trace=None,
+        decode_caches: Optional[Dict[tuple, DecodeCache]] = None,
     ):
         if isa not in ("hisa", "nisa"):
             raise ValueError(f"unknown isa {isa!r}")
@@ -162,19 +182,23 @@ class Interpreter:
         self.zf = False  # HISA flags
         self.sf_lt = False
         self._inst_counter = self.stats.counter(f"{name}.inst")
-        # Decoded-instruction cache: pc -> (inst, length, two_part,
-        # timeout).  Requires the port's fetch_check/code_generation
+        #: Which of an address space's decode caches this core uses.
+        self.decode_key = (isa, cost.cycle_ns, cost.ipc)
+        # Decoded-instruction cache (see DecodeCache), taken from the
+        # address space's ``decode_caches`` table (a private one
+        # without).  Requires the port's fetch_check/code_generation
         # contract (see MemoryPort); validity is keyed off the port's
         # code_generation, so page-table changes and stores into
-        # registered executable ranges invalidate it wholesale.
-        self._decode_cache_enabled = bool(decode_cache) and hasattr(port, "fetch_check")
-        self._decode_cache: Dict[int, tuple] = {}
-        self._decode_gen: Optional[int] = None
+        # registered executable ranges invalidate it wholesale.  None
+        # when disabled.
+        self._decode: Optional[DecodeCache] = None
+        if decode_cache and hasattr(port, "fetch_check"):
+            self._decode = self._decode_cache_in(decode_caches)
         self._fetch_check_sync = (
-            getattr(port, "fetch_check_sync", None) if self._decode_cache_enabled else None
+            getattr(port, "fetch_check_sync", None) if self._decode is not None else None
         )
         self._fetch_check_fast = (
-            getattr(port, "fetch_check_fast", None) if self._decode_cache_enabled else None
+            getattr(port, "fetch_check_fast", None) if self._decode is not None else None
         )
         # Ops whose execution yields (memory traffic) on this ISA; the
         # rest run through the synchronous path without a generator.
@@ -195,12 +219,35 @@ class Interpreter:
                 self, jit_hot_threshold, jit_max_superblock, trace
             )
 
-    def invalidate_decode_cache(self) -> None:
-        """Drop all cached decodes (e.g. on an address-space switch)."""
-        self._decode_cache.clear()
-        self._decode_gen = None
+    def _decode_cache_in(self, decode_caches: Optional[Dict[tuple, DecodeCache]]) -> DecodeCache:
+        if decode_caches is None:
+            return DecodeCache()
+        cache = decode_caches.get(self.decode_key)
+        if cache is None:
+            cache = decode_caches[self.decode_key] = DecodeCache()
+        return cache
+
+    def switch_address_space(self, decode_caches: Dict[tuple, DecodeCache], space) -> None:
+        """Run on another address space's caches: its decode cache from
+        ``decode_caches`` (the space's table, keyed by
+        :attr:`decode_key`) and, with the JIT tier on, the superblocks
+        the engine keeps for ``space`` (its page tables).  Nothing is
+        dropped: each space's caches stay valid for as long as its own
+        code generation does."""
+        if self._decode is not None:
+            self._decode = self._decode_cache_in(decode_caches)
         if self._jit is not None:
-            self._jit.invalidate("switch")
+            self._jit.switch_space(space)
+
+    def invalidate_decode_cache(self) -> None:
+        """Drop the current address space's cached decodes and compiled
+        blocks: a manual flush.  Code changes invalidate both through the
+        code generation, and address-space switches swap caches."""
+        if self._decode is not None:
+            self._decode.clear()
+            self._decode.gen = None
+        if self._jit is not None:
+            self._jit.invalidate("flush")
 
     # -- ABI helpers used by the runtime ---------------------------------------
 
@@ -261,19 +308,29 @@ class Interpreter:
             blk = jit._blocks.get(pc)
             if blk is not None:
                 if blk.gen == port.code_generation:
+                    ran = self._inst_counter.value
                     yield from jit.execute(blk)
-                    return
-                jit.invalidate("codegen")
+                    if self._inst_counter.value != ran:
+                        return
+                    # The block bailed before its first instruction (an
+                    # NxP I-TLB probe miss), having done nothing: this
+                    # step interprets that instruction, which fills the
+                    # TLB, so the next entry can run compiled.
+                else:
+                    jit.invalidate("codegen")
 
         gen = None
         cached = None
-        if self._decode_cache_enabled:
+        # Local: the NxP swaps caches between residencies, and an entry
+        # must land in the cache whose generation was checked.
+        decoded = self._decode
+        if decoded is not None:
             gen = port.code_generation
             if gen is not None:
-                if gen != self._decode_gen:
-                    self._decode_cache.clear()
-                    self._decode_gen = gen
-                cached = self._decode_cache.get(pc)
+                if gen != decoded.gen:
+                    decoded.clear()
+                    decoded.gen = gen
+                cached = decoded.get(pc)
 
         if cached is not None:
             inst, length, two_part, pause, is_mem = cached
@@ -325,7 +382,7 @@ class Interpreter:
             # Insert only if no store/remap invalidated the code while
             # the fetch was suspended mid-flight.
             if gen is not None and port.code_generation == gen:
-                self._decode_cache[pc] = (inst, length, two_part, pause, is_mem)
+                decoded[pc] = (inst, length, two_part, pause, is_mem)
 
         self._inst_counter.value += 1
         yield pause

@@ -38,11 +38,14 @@ This module adds a third execution tier above the decode cache:
    the faulting/next instruction, time flushed, counters settled).
 
 Invalidation reuses the decoded-instruction-cache contract: every block
-records the port ``code_generation`` it was compiled under and is
-dropped wholesale when the generation moves (mapping changes, NX flips,
-stores into registered executable ranges, address-space switches).  A
-store *inside* a trace re-checks the generation immediately so
-self-modifying code never runs one stale instruction.
+records the port ``code_generation`` it was compiled under, and the
+blocks of an address space are dropped wholesale when its generation
+moves (mapping changes, NX flips, stores into registered executable
+ranges).  A store *inside* a trace re-checks the generation immediately
+so self-modifying code never runs one stale instruction.  A host core
+runs one address space, so its engine holds one block set; the NxP core
+runs them all, so its engine keeps one set per address space
+(:meth:`JitEngine.switch_space`) and a switch drops nothing.
 
 The parity contract (tests/core/test_jit_parity.py): with the tier on
 or off, a workload's return value, simulated nanoseconds, stat counters
@@ -119,7 +122,7 @@ class Superblock:
 
 
 class JitEngine:
-    """Per-interpreter trace cache: hot detection, compilation, execution.
+    """One core's trace cache: hot detection, compilation, execution.
 
     Created by :class:`repro.isa.interpreter.Interpreter` when the tier
     is enabled and the memory port supports it (see
@@ -136,9 +139,12 @@ class JitEngine:
         self.hot_threshold = max(1, int(hot_threshold))
         self.max_superblock = max(2, int(max_superblock))
         self.trace = trace
+        # Hotness, compiled blocks and entries that failed to compile,
+        # for the address space this core is running (see switch_space).
         self._counts: Dict[int, int] = {}
         self._blocks: Dict[int, Superblock] = {}
-        self._cold: set = set()  # entries that failed to compile
+        self._cold: set = set()
+        self._spaces: Dict[object, tuple] = {}
         # Observability sidecar (not StatRegistry; see class docstring).
         self.compiled_blocks = 0
         self.block_exec_total = 0
@@ -191,10 +197,23 @@ class JitEngine:
     def lookup(self, pc: int) -> Optional[Superblock]:
         return self._blocks.get(pc)
 
+    def switch_space(self, space) -> None:
+        """Make ``space``'s hotness, blocks and cold set current.
+
+        The NxP core runs every process's code: its engine keeps one set
+        per address space (keyed by the page tables), so a process's
+        superblocks survive the other processes' residencies and are
+        dropped only when its own code generation moves.  Blocks stay
+        per core because their closures bind this core's registers."""
+        state = self._spaces.get(space)
+        if state is None:
+            state = self._spaces[space] = ({}, {}, set())
+        self._counts, self._blocks, self._cold = state
+
     def invalidate(self, reason: str) -> None:
-        """Drop every compiled block (generation moved / address-space
-        switch).  Hotness counters survive, so still-hot loops recompile
-        on their next backedge."""
+        """Drop every compiled block of the current address space (its
+        code generation moved, or a manual ``flush``).  Hotness counters
+        survive, so still-hot loops recompile on their next backedge."""
         if self._blocks or self._cold:
             self._blocks.clear()
             self._cold.clear()

@@ -79,6 +79,15 @@ class Process:
         # this) must continue the sequence, not restart it — a restart
         # makes the device discard its legs as stale retransmits.
         self.h2n_seq: int = 0
+        # Host-side memos of this address space, valid for as long as
+        # its page tables' generations say: every core that runs it
+        # shares them, so a reused process is decoded and translated
+        # once, not once per thread.  ``host_port`` is the one host
+        # memory port (and translation cache) of all its host threads,
+        # built on first spawn; ``decode_caches`` holds one decode cache
+        # per interpreter kind (repro.isa.interpreter.DecodeCache).
+        self.host_port = None
+        self.decode_caches: Dict[tuple, object] = {}
 
     @property
     def cr3(self) -> int:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.breakdown import measure_breakdown
 from repro.analysis.metrics import (
@@ -62,6 +64,39 @@ class TestIntervalMath:
         assert _timeline([(0, 5)], 10, 2) == [1.0, 0.0]
         assert _timeline([], 10, 2) == [0.0, 0.0]
         assert _timeline([(0, 5)], 0, 2) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Endpoints as fractions of the run (some past its end), paired
+        # in sorted order: many short intervals per slice, so the sums
+        # carry rounding that a change of order would expose.
+        points=st.lists(
+            st.floats(min_value=0.0, max_value=1.1), min_size=6, max_size=80, unique=True
+        ),
+        # 0 (no run) or a positive width; slice widths never underflow.
+        t_end=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.2e6)),
+        slices=st.integers(min_value=0, max_value=8),
+    )
+    def test_timeline_sweep_equals_full_sum(self, points, t_end, slices):
+        """The sweep equals the full per-slice sum over every interval,
+        float for float, on merged (sorted, disjoint) inputs."""
+
+        def reference(intervals, t_end, slices):
+            if t_end <= 0 or slices < 1:
+                return []
+            width = t_end / slices
+            out = []
+            for i in range(slices):
+                lo, hi = i * width, (i + 1) * width
+                busy = sum(
+                    max(0.0, min(end, hi) - max(start, lo)) for start, end in intervals
+                )
+                out.append(busy / width)
+            return out
+
+        ends = sorted(p * t_end for p in points)
+        intervals = _merge(list(zip(ends[::2], ends[1::2])))
+        assert _timeline(intervals, t_end, slices) == reference(intervals, t_end, slices)
 
 
 class TestLatencyHistograms:

@@ -17,6 +17,16 @@ from repro.core.config import FlickConfig
 from repro.core.machine import FlickMachine
 from repro.workloads.null_call import measure_h2n_roundtrip
 from repro.workloads.pointer_chase import run_pointer_chase
+from repro.workloads.serving_profiles import PROFILES
+
+from .pooled_processes import (
+    ADDEND,
+    LOOPS,
+    counting_decodes,
+    pooled_machine,
+    run_interleaved,
+    serve,
+)
 
 TOGGLES = ("decode_cache", "translation_fast_path", "engine_fast_path")
 
@@ -49,6 +59,51 @@ class TestInterpretedNullCallLoop:
         for pair in itertools.combinations(TOGGLES, 2):
             cfg = FlickConfig(**{name: False for name in pair})
             assert _run_interpreted(cfg) == reference, pair
+
+
+class TestPooledProcesses:
+    """Per-address-space caches: two reused processes of one executable
+    interleave on the NxP, each keeping its decode cache, translation
+    cache and NxP superblocks across the other's residencies."""
+
+    @pytest.mark.parametrize("nxp_count", [1, 2])
+    def test_interleaved_processes_are_bit_identical(self, nxp_count):
+        reference = run_interleaved(
+            FlickConfig(nxp_count=nxp_count, decode_cache=False, jit_enabled=False),
+            patch_last=True,
+        )
+        assert reference["stats"]["nxp.address_space_switch"] >= 4
+        # a's last request rewrote ``work``: the new code ran.
+        assert reference["retvals"] == {
+            "a": [LOOPS * ADDEND, LOOPS * ADDEND, LOOPS * (ADDEND + 1)],
+            "b": [LOOPS * ADDEND] * 3,
+        }
+        for decode_cache, jit in ((True, True), (True, False), (False, True)):
+            cfg = FlickConfig(nxp_count=nxp_count, decode_cache=decode_cache, jit_enabled=jit)
+            assert run_interleaved(cfg, patch_last=True) == reference, (decode_cache, jit)
+
+    @pytest.mark.parametrize("jit", [True, False])
+    def test_second_request_of_pooled_process_decodes_nothing(self, jit):
+        machine = FlickMachine(FlickConfig(jit_enabled=jit))
+        profile = PROFILES["null_call"]
+        process = machine.load(machine.compile(profile.source))
+        assert serve(machine, process, profile.args) == profile.expected
+        with counting_decodes() as calls:
+            assert serve(machine, process, profile.args) == profile.expected
+        assert calls == {}
+
+    def test_code_change_drops_only_that_process_decodes(self):
+        machine, a, b = pooled_machine(FlickConfig(jit_enabled=False))
+        for process in (a, b):
+            serve(machine, process)
+        # NISA text is NX already: only the code generation moves.
+        a.page_tables.set_nx(a.symbols["work"], True)
+        with counting_decodes() as calls:
+            assert serve(machine, b) == LOOPS * ADDEND
+        assert calls == {}
+        with counting_decodes() as calls:
+            assert serve(machine, a) == LOOPS * ADDEND
+        assert calls["hisa"] > 0 and calls["nisa"] > 0
 
 
 class TestNullCallRoundtrip:

@@ -12,11 +12,15 @@ The JIT's own telemetry deliberately lives *outside* the stat registry
 whether the tier ran — one test pins that separation too.
 """
 
+import pytest
+
 from repro.analysis.simspeed import COMPUTE_LOOP, NULL_CALL_LOOP, slow_config
 from repro.core.config import FlickConfig
 from repro.core.hosted import HostedMachine, HostedProgram
 from repro.core.machine import FlickMachine
 from repro.sim.faults import FaultPlan, FaultRule
+
+from .pooled_processes import ADDEND, LOOPS, pooled_machine, run_interleaved, serve
 
 #: A NISA-side hot loop: the whole body (including the BRAM stack
 #: spills the compiler emits) must compile on the NxP interpreter.
@@ -81,6 +85,29 @@ class TestInterpretedParity:
         assert nxp_engine.compiled_blocks > 0
         assert nxp_engine.block_exec_total > 0
 
+    def test_block_entry_missing_from_itlb(self):
+        # A loop body longer than a page, on a one-entry I-TLB: every
+        # backedge re-enters the block with its entry page evicted.  The
+        # block declines at once, and that step interprets the entry
+        # instruction (filling the TLB) instead of re-entering forever.
+        # Pooled processes hit the same case: their blocks outlive the
+        # TLB flush of every address-space switch.
+        body = " ".join(f"acc = acc + {k};" for k in range(1, 601))
+        source = f"""
+@nxp func work(n) {{
+    var acc = 0;
+    var i = 0;
+    while (i < n) {{ {body} i = i + 1; }}
+    return acc;
+}}
+func main(n) {{ return work(n); }}
+"""
+        cfg = FlickConfig(tlb_entries=1, jit_hot_threshold=2)
+        on_machine, on = _run(source, [5], cfg)
+        _, off = _run(source, [5], cfg.with_overrides(jit_enabled=False))
+        assert on == off
+        assert on_machine.nxp.cpu._jit.bailouts["itlb"] > 0
+
     def test_against_all_slow(self):
         _, on = _run(COMPUTE_LOOP, [200], JIT_ON)
         _, slow = _run(COMPUTE_LOOP, [200], slow_config())
@@ -113,6 +140,51 @@ class TestArmedQuietPlanParity:
         _, off = _run(NXP_LOOP, [120], QUIET_PLAN.apply(JIT_OFF))
         assert on == off
         assert on_machine.nxp.cpu._jit.compiled_blocks > 0
+
+
+class TestPooledProcesses:
+    """The NxP engine keeps superblocks per address space: reused
+    processes interleaving on the NxP compile their loop once each, and
+    a code change in one drops only that one's blocks."""
+
+    @pytest.mark.parametrize("nxp_count", [1, 2])
+    def test_interleaved_processes(self, nxp_count):
+        on_cfg = FlickConfig(nxp_count=nxp_count)
+        off = run_interleaved(FlickConfig(nxp_count=nxp_count, jit_enabled=False), patch_last=True)
+        assert run_interleaved(on_cfg, patch_last=True) == off
+        # Without the patch, nothing ever invalidates: each device
+        # compiles each process's loop at most once, however many
+        # residencies interleave.
+        machine, a, b = pooled_machine(on_cfg)
+        for _ in range(3):
+            for process in (a, b):
+                assert serve(machine, process) == LOOPS * ADDEND
+        stats = machine.jit_stats()
+        assert machine.stats.get("nxp.address_space_switch") >= 5
+        assert 2 <= stats["jit.compiled_blocks"] <= 2 * nxp_count
+        assert stats["jit.block_exec_total"] > stats["jit.compiled_blocks"]
+        assert stats["jit.invalidations"] == 0
+
+    def test_code_change_drops_only_that_process_blocks(self):
+        machine, a, b = pooled_machine(JIT_ON)
+        for process in (a, b):
+            serve(machine, process)
+        engine = machine.nxp.cpu._jit
+        _, b_blocks, _ = engine._spaces[b.page_tables]
+        b_before = dict(b_blocks)
+        compiled = engine.compiled_blocks
+        assert b_before and compiled == 2
+        # NISA text is NX already: only a's code generation moves.
+        a.page_tables.set_nx(a.symbols["work"], True)
+        assert serve(machine, b) == LOOPS * ADDEND
+        assert b_blocks == b_before and engine.compiled_blocks == compiled
+        assert serve(machine, a) == LOOPS * ADDEND
+        assert engine.bailouts == {"codegen": 1}
+        _, a_blocks, _ = engine._spaces[a.page_tables]
+        (block,) = a_blocks.values()
+        assert block.gen == a.page_tables.code_generation
+        assert engine.compiled_blocks == compiled + 1
+        assert b_blocks == b_before
 
 
 def _hosted_program():
