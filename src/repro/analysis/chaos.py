@@ -54,8 +54,8 @@ __all__ = [
     "DEFAULT_BOUND_NS",
     "run_chaos_case",
     "run_chaos_matrix",
-    "run_multi_nxp_kill_case",
-    "run_multi_nxp_revive_case",
+    "run_fleet_kill_case",
+    "run_fleet_revive_case",
     "run_overload_storm_case",
     "render_verdicts",
 ]
@@ -283,7 +283,7 @@ def run_chaos_matrix(
     return results
 
 
-def run_multi_nxp_kill_case(
+def run_fleet_kill_case(
     nxps: int = 2,
     kill_device: int = 0,
     kill_at_ns: float = 5_000.0,
@@ -443,7 +443,7 @@ def run_overload_storm_case(
     )
 
 
-def run_multi_nxp_revive_case(
+def run_fleet_revive_case(
     nxps: int = 2,
     kill_device: int = 0,
     kill_at_ns: float = 5_000.0,

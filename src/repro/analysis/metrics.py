@@ -183,9 +183,9 @@ class RunReport:
     #: tracing-JIT tier telemetry (``FlickMachine.jit_stats``): kept out
     #: of ``stats`` so the parity-pinned snapshot never sees the tier
     jit: Dict[str, float] = field(default_factory=dict)
-    #: multi-NxP placement sidecar counters (picks per device, failover,
+    #: placement sidecar counters (picks per device, failover,
     #: exhausted, half-open breaker probes) — kept out of ``stats`` for
-    #: the same parity reason, empty on single-NxP machines
+    #: the same parity reason
     placement: Dict[str, float] = field(default_factory=dict)
     #: spans still open when the report was built (hung legs / in-flight
     #: requests) — their time is absent from every histogram above
@@ -427,18 +427,12 @@ def build_run_report(
             trace,
             t_end,
             slices=slices,
-            nxp_devices=(
-                len(machine.devices)
-                if getattr(machine, "multi_nxp", False)
-                else None
-            ),
+            nxp_devices=len(machine.devices) if hasattr(machine, "devices") else None,
         ),
         truncated=trace.truncated,
         jit=machine.jit_stats() if hasattr(machine, "jit_stats") else {},
         placement=(
-            dict(machine.placement.counters)
-            if getattr(machine, "multi_nxp", False)
-            else {}
+            dict(machine.placement.counters) if hasattr(machine, "placement") else {}
         ),
         open_spans=len(trace.open_spans()),
         span_anomalies=trace.span_anomalies,
@@ -593,7 +587,7 @@ def render_openmetrics(report: RunReport) -> str:
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric}_total {_fmt(report.jit[key])}")
 
-    # placement sidecar counters (multi-NxP: picks, failover, probes)
+    # placement sidecar counters (picks, failover, probes)
     for key in sorted(report.placement):
         metric = _metric_name(key)
         lines.append(f"# TYPE {metric} counter")

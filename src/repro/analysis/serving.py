@@ -318,8 +318,7 @@ class ServingResult:
     #: trace health after the run: both must be zero for a clean run
     open_spans: int = 0
     span_anomalies: int = 0
-    #: multi-NxP only: sessions placed per device index (placement
-    #: sidecar counters); empty on a single-NxP run
+    #: sessions placed per device index (placement sidecar counters)
     device_sessions: Dict[int, int] = field(default_factory=dict)
     #: NISA calls that completed via host-fallback emulation (all
     #: devices down, or a kill run's tail) — from ``degraded.calls``
@@ -639,8 +638,7 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
 
         def _reviver():
             yield sim.timeout(tc.revive_at_ns)
-            if machine.placement is not None:
-                sessions_before_revive.update(machine.placement.session_counts())
+            sessions_before_revive.update(machine.placement.session_counts())
             machine.revive_nxp(tc.kill_device)
 
         sim.spawn(_reviver(), name="chaos-reviver")
@@ -677,9 +675,7 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
         if r.shed:
             shed_by_reason[r.shed_reason] = shed_by_reason.get(r.shed_reason, 0) + 1
     stats = machine.stats.snapshot()
-    final_sessions = (
-        machine.placement.session_counts() if machine.placement else {}
-    )
+    final_sessions = machine.placement.session_counts()
     post_revival: Dict[int, int] = {}
     if tc.revive_at_ns is not None:
         post_revival = {

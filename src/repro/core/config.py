@@ -160,15 +160,14 @@ class FlickConfig:
     host_cores: int = 2
 
     # ---- NxP topology (docs/FLEET.md) --------------------------------------
-    # Number of PCIe-attached NxP devices on this machine.  1 (the
-    # paper's system, and the default) takes the exact single-device
-    # code paths and is pinned bit-identical to the pre-fleet behavior
-    # by tests/core/test_multi_nxp.py.  N > 1 builds one descriptor-ring
-    # pair, DMA engine, IRQ vector, BRAM slice, scheduler and health
-    # machine per device, all sharing one PCIe link (natural contention).
+    # Number of PCIe-attached NxP devices on this machine.  Every machine
+    # is a fleet: one descriptor-ring pair, DMA engine, IRQ vector, BRAM
+    # slice, scheduler and health machine per device, all sharing one
+    # PCIe link (natural contention).  1 (the paper's system, and the
+    # default) is a fleet of one.
     nxp_count: int = 1
-    # Session-placement policy for N > 1: which device an h2n migration
-    # session is routed to.  One of repro.os.placement.POLICIES:
+    # Session-placement policy: which device an h2n migration session is
+    # routed to.  One of repro.os.placement.POLICIES:
     # "static" | "round_robin" | "least_loaded" | "locality".
     placement_policy: str = "static"
 
@@ -269,8 +268,8 @@ class FlickConfig:
     # ---- overload protection + self-healing (docs/ROBUSTNESS.md) -----------
     # All knobs below default *off*; at the defaults every code path is
     # byte-identical to the pre-robustness behavior (pinned by
-    # tests/core/test_fault_parity.py / test_multi_nxp.py, the
-    # ``machine.hardened`` precedent).
+    # tests/core/test_fault_parity.py and tests/core/test_robustness.py,
+    # the ``machine.hardened`` precedent).
     #
     # Admission control: max migration sessions in flight per NxP device
     # before new requests are shed (``AdmissionRejected``) or — with

@@ -40,7 +40,6 @@ the hardening layer (pinned by ``tests/core/test_fault_parity.py``).
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 __all__ = ["HealthState", "NxpHealth", "RetryBudget"]
 
@@ -205,8 +204,8 @@ class NxpHealth:
 class RetryBudget:
     """Machine-wide token bucket for watchdog retransmits, in sim time.
 
-    Consulted before *every* retransmit in both interpreted and hosted
-    modes (``_ioctl_hardened`` twins).  Refill is a pure function of the
+    Consulted before *every* retransmit by the one hardened ioctl
+    (``HostMigrationHandler._ioctl_hardened``, both executors).  Refill is a pure function of the
     simulated clock — ``tokens += (now - last) * refill_per_ns``, capped
     at ``capacity`` — so identical seeds replay identical grant/deny
     sequences at any ``parallel_map`` worker count.  A denied take makes

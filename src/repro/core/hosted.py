@@ -42,21 +42,15 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from repro.core.config import FlickConfig
 from repro.core.descriptors import (
-    DESCRIPTOR_BYTES,
-    DIR_H2N,
     DIR_N2H,
     KIND_CALL,
     KIND_RETURN,
     MigrationDescriptor,
 )
-from repro.core.errors import (
-    WATCHDOG_EXPIRED,
-    DescriptorCorrupt,
-    NxpDeadError,
-    ProcessCrash,
-    WorkloadHung,
-)
+from repro.core.errors import WorkloadHung
+from repro.core.host_runtime import HostMigrationHandler
 from repro.core.machine import FlickMachine
+from repro.core.nxp_platform import NxpMigrationHandler
 from repro.core.ports import TranslationCache
 from repro.memory.tlb import TLB
 from repro.os.loader import create_address_space
@@ -148,9 +142,8 @@ class HostedContext:
         #: ops per consolidated run in the hosted workload bodies
         #: (1 disables batching: one boundary check per op).
         self.batch_ops: int = cfg.hosted_batch_size if cfg.hosted_batch_ops else 1
-        #: The _HostedNxpEngine running this nxp-side body — multi-NxP
-        #: routing state so nested calls stay on the session's device;
-        #: always None on host-side contexts and single-NxP machines.
+        #: The _HostedNxpEngine running this nxp-side body, so nested
+        #: calls stay on the session's device; None on host-side contexts.
         self.engine = None
 
     # -- time accumulation --------------------------------------------------
@@ -421,17 +414,10 @@ class HostedMachine:
             self.cfg.memory_map.nxp_local_size,
             self.cfg.memory_map.bar0_remap_offset,
         )
-        if self.machine.multi_nxp:
-            self._nxp_engines = [
-                _HostedNxpEngine(self, device=dev) for dev in self.machine.devices
-            ]
-            # revive_nxp must reset/restart the hosted dispatcher, not
-            # the (never-started) interpreted platform it shadows.
-            for dev, engine in zip(self.machine.devices, self._nxp_engines):
-                dev.hosted_engine = engine
-        else:
-            self._nxp_engines = [_HostedNxpEngine(self)]
-        self._nxp_engine = self._nxp_engines[0]
+        # One hosted engine per device, installed as the device's
+        # platform so revive_nxp resets and restarts it.
+        for dev in self.machine.devices:
+            dev.platform = _HostedNxpEngine(self, dev)
         self._task: Optional[Task] = None
         self._thread: Optional[_HostedHostThread] = None
         # Hot-path latency constants.  FlickConfig is frozen, so these
@@ -525,9 +511,8 @@ class HostedMachine:
             ctx.compute(6)  # plain call/ret overhead
             return (yield from self.run_body(fn, args, ctx.side, engine=ctx.engine))
         if ctx.side == "host":
-            return (yield from self._thread.migrate_call_to_nxp(fn, args))
-        engine = ctx.engine or self._nxp_engine
-        return (yield from engine.migrate_call_to_host(fn, args))
+            return (yield from self._thread.migrate_call_to_nxp(fn.addr, args))
+        return (yield from ctx.engine.migrate_call_to_host(fn, args))
 
     def run_body(
         self, fn: HostedFunction, args: List[int], side: str, engine=None
@@ -558,8 +543,8 @@ class HostedMachine:
         self._task = task
         thread = _HostedHostThread(self, task)
         self._thread = thread
-        for engine in self._nxp_engines:
-            engine.start()
+        for dev in self.machine.devices:
+            dev.platform.start()
         start = self.sim.now
         self.sim.spawn(thread.thread_main(fn, list(args)), name=task.name)
         if until is None:
@@ -570,7 +555,7 @@ class HostedMachine:
             try:
                 self.sim.run(until=until)
             except Deadlock:
-                # The dispatcher (and any parked body) is always a live
+                # The NxP scheduler (and any parked body) is always a live
                 # process, so every bounded run ends in Deadlock once
                 # the queue drains; it only matters if the thread is
                 # still unfinished.
@@ -583,20 +568,13 @@ class HostedMachine:
         return HostedOutcome(thread.result, thread.finished_at - start, self.machine)
 
 
-class _HostedHostThread:
-    """Hosted twin of :class:`repro.core.host_runtime.HostThread` —
-    identical protocol charges, Python bodies instead of HISA code."""
+class _HostedHostThread(HostMigrationHandler):
+    """The hosted executor of the host protocol half: Python bodies
+    instead of HISA code, same session, ioctl and fallback wrapper."""
 
     def __init__(self, hosted: HostedMachine, task: Task):
+        super().__init__(hosted.machine, task)
         self.hosted = hosted
-        self.machine = hosted.machine
-        self.sim = hosted.sim
-        self.cfg = hosted.cfg
-        self.task = task
-        self.core = None
-        self.result = None
-        self.finished_at = None
-        self._staging: Optional[int] = None
 
     def thread_main(self, fn: HostedFunction, args: List[int]) -> Generator:
         task = self.task
@@ -614,436 +592,50 @@ class _HostedHostThread:
         self.finished_at = self.sim.now
         return retval
 
-    # Mirrors HostThread._migrate_call_to_nxp (same charges, same order).
-    def migrate_call_to_nxp(self, fn: HostedFunction, args: List[int]) -> Generator:
-        task = self.task
-        cfg = self.cfg
-        yield self.sim.timeout(cfg.host_page_fault_ns)
-        yield self.sim.timeout(cfg.host_handler_entry_ns)
-        session_start = self.sim.now
-        self.machine.trace.record("h2n_call_start", pid=task.pid, target=fn.addr)
-        self.machine.trace.begin("h2n_session", pid=task.pid, target=fn.addr)
-        if self.machine.multi_nxp:
-            retval = yield from self._migrate_call_multi(fn, args, session_start)
-            return retval
-        if task.nxp_stack_base is None:
-            yield self.sim.timeout(cfg.host_stack_alloc_ns)
-            task.nxp_stack_base = self.machine.alloc_nxp_stack()
-            task.nxp_sp = task.nxp_stack_base + cfg.nxp_stack_bytes
-            self.machine.trace.record("nxp_stack_alloc", pid=task.pid, addr=task.nxp_stack_base)
-        machine = self.machine
-        if machine.hardened and (
-            machine.health.dead or task.pid in machine.fused_pids
-        ):
-            # Dead device, or a pid fused to host execution after a
-            # retry-budget denial (see HostThread: a stale reply to its
-            # abandoned leg must find no armed wait).
-            retval = yield from self._fallback_call(fn, args, session_start)
-            return retval
-        if cfg.brownout and self._brownout_risk():
-            # Overload brownout: degraded-but-correct host execution
-            # instead of queueing (mirrors HostThread).
-            retval = yield from self._fallback_call(fn, args, session_start)
-            return retval
-        desc = MigrationDescriptor(
-            kind=KIND_CALL, direction=DIR_H2N, pid=task.pid, target=fn.addr,
-            args=args[:6], cr3=task.process.cr3, nxp_sp=task.nxp_sp,
-        )
-        try:
-            inbound = yield from self._ioctl_migrate_and_suspend(desc)
-        except NxpDeadError:
-            retval = yield from self._fallback_call(fn, args, session_start)
-            return retval
-        while inbound.is_call:
-            task.nxp_sp = inbound.nxp_sp
-            yield self.sim.timeout(cfg.host_ioctl_return_ns)
-            self.machine.trace.record("n2h_call_exec", pid=task.pid, target=inbound.target)
-            self.machine.trace.begin("n2h_host_exec", pid=task.pid, target=inbound.target)
-            yield self.sim.timeout(cfg.host_call_dispatch_ns)
-            target_fn = self.hosted.program.by_addr[inbound.target]
-            host_retval = yield from self.hosted.run_body(target_fn, inbound.args, "host")
-            self.machine.trace.end("n2h_host_exec", pid=task.pid)
-            ret_desc = MigrationDescriptor(
-                kind=KIND_RETURN, direction=DIR_H2N, pid=task.pid,
-                retval=host_retval, cr3=task.process.cr3, nxp_sp=task.nxp_sp,
-            )
-            try:
-                inbound = yield from self._ioctl_migrate_and_suspend(ret_desc)
-            except NxpDeadError:
-                raise ProcessCrash(
-                    task,
-                    "NxP died mid-migration-session (suspended NxP frames lost)",
-                )
-        yield self.sim.timeout(cfg.host_ioctl_return_ns)
-        yield self.sim.timeout(cfg.host_handler_return_ns)
-        self.machine.stats.observe(
-            "latency.h2n_session_ns", self.sim.now - session_start
-        )
-        self.machine.trace.record("h2n_call_done", pid=task.pid, target=fn.addr)
-        self.machine.trace.end("h2n_session", pid=task.pid)
-        return inbound.retval
+    def _call_host_function(self, target: int, args: List[int]) -> Generator:
+        yield self.sim.timeout(self.cfg.host_call_dispatch_ns)
+        fn = self.hosted.program.by_addr[target]
+        return (yield from self.hosted.run_body(fn, args, "host"))
 
-    def _migrate_call_multi(
-        self, fn: HostedFunction, args: List[int], session_start: float
-    ) -> Generator:
-        """Hosted twin of HostThread._migrate_call_multi: one device per
-        session, opening-leg failover, host-fallback when all are down."""
-        task = self.task
-        cfg = self.cfg
-        machine = self.machine
-        tried = set()
-        while True:
-            if task.pid in machine.fused_pids:
-                # Retry-budget fuse: stale replies route by pid, not
-                # device, so a fused pid must not wait on any device.
-                retval = yield from self._fallback_call(fn, args, session_start)
-                return retval
-            device = machine.placement.pick(task, exclude=frozenset(tried))
-            if device is None:
-                retval = yield from self._fallback_call(fn, args, session_start)
-                return retval
-            if cfg.brownout and self._brownout_risk(device):
-                retval = yield from self._fallback_call(fn, args, session_start)
-                return retval
-            if machine.trace.context_enabled:
-                # Label the session span with the device serving it (the
-                # last annotation wins on failover re-placement).
-                machine.trace.annotate(
-                    "h2n_session", pid=task.pid,
-                    device=device.index, device_label=f"nxp{device.index}",
-                )
-
-            if task.nxp_stack_base is None:
-                yield self.sim.timeout(cfg.host_stack_alloc_ns)
-                task.nxp_stack_base = machine.alloc_nxp_stack(device=device)
-                task.nxp_sp = task.nxp_stack_base + cfg.nxp_stack_bytes
-                task.nxp_device = device.index
-                machine.trace.record(
-                    "nxp_stack_alloc", pid=task.pid, addr=task.nxp_stack_base
-                )
-
-            desc = MigrationDescriptor(
-                kind=KIND_CALL, direction=DIR_H2N, pid=task.pid, target=fn.addr,
-                args=args[:6], cr3=task.process.cr3, nxp_sp=task.nxp_sp,
-            )
-            device.outstanding += 1
-            try:
-                inbound = yield from self._ioctl_migrate_and_suspend(desc, device=device)
-            except NxpDeadError:
-                device.outstanding -= 1
-                tried.add(device.index)
-                continue
-            except BaseException:
-                device.outstanding -= 1
-                raise
-
-            try:
-                while inbound.is_call:
-                    task.nxp_sp = inbound.nxp_sp
-                    yield self.sim.timeout(cfg.host_ioctl_return_ns)
-                    machine.trace.record(
-                        "n2h_call_exec", pid=task.pid, target=inbound.target
-                    )
-                    machine.trace.begin(
-                        "n2h_host_exec", pid=task.pid, target=inbound.target
-                    )
-                    yield self.sim.timeout(cfg.host_call_dispatch_ns)
-                    target_fn = self.hosted.program.by_addr[inbound.target]
-                    host_retval = yield from self.hosted.run_body(
-                        target_fn, inbound.args, "host"
-                    )
-                    machine.trace.end("n2h_host_exec", pid=task.pid)
-                    ret_desc = MigrationDescriptor(
-                        kind=KIND_RETURN, direction=DIR_H2N, pid=task.pid,
-                        retval=host_retval, cr3=task.process.cr3, nxp_sp=task.nxp_sp,
-                    )
-                    try:
-                        inbound = yield from self._ioctl_migrate_and_suspend(
-                            ret_desc, device=device
-                        )
-                    except NxpDeadError:
-                        raise ProcessCrash(
-                            task,
-                            "NxP died mid-migration-session "
-                            "(suspended NxP frames lost)",
-                        )
-                yield self.sim.timeout(cfg.host_ioctl_return_ns)
-                yield self.sim.timeout(cfg.host_handler_return_ns)
-            finally:
-                device.outstanding -= 1
-            machine.stats.observe(
-                "latency.h2n_session_ns", self.sim.now - session_start
-            )
-            machine.trace.record("h2n_call_done", pid=task.pid, target=fn.addr)
-            machine.trace.end("h2n_session", pid=task.pid)
-            return inbound.retval
-
-    def _ioctl_migrate_and_suspend(
-        self, desc: MigrationDescriptor, device=None
-    ) -> Generator:
-        if self.machine.hardened:
-            result = yield from self._ioctl_hardened(desc, device=device)
-            return result
-        task = self.task
-        cfg = self.cfg
-        if cfg.injected_migration_rt_ns:
-            yield self.sim.timeout(cfg.injected_migration_rt_ns / 2.0)
-        yield self.sim.timeout(cfg.host_ioctl_entry_ns)
-        yield self.sim.timeout(cfg.host_desc_build_ns)
-        if self._staging is None:
-            self._staging = self.machine.host_phys.alloc(DESCRIPTOR_BYTES, align=64)
-        self.machine.phys.write(self._staging, desc.pack())
-        task.state = TaskState.SUSPENDED
-        wake = Event(self.sim, name=f"{task.name}.wake")
-        task.wake_event = wake
-        yield self.sim.timeout(cfg.host_context_switch_ns)
-        self.machine.cores.release(self.core)
-        self.core = None
-        yield self.sim.timeout(cfg.host_dma_kick_ns)
-        self.machine.trace.record("dma_h2n", pid=task.pid, kind=desc.kind)
-        dma = self.machine.dma if device is None else device.dma
-        self.sim.spawn(
-            dma.push_to_nxp(self._staging, DESCRIPTOR_BYTES, pid=task.pid),
-            name=f"dma-h2n-{task.name}",
-        )
-        inbound = yield wake
-        self.core = yield from self.machine.cores.acquire(task.name)
-        task.state = TaskState.RUNNING
-        return inbound
-
-    # Hosted twin of HostThread._ioctl_hardened (see host_runtime.py for
-    # the watchdog/retry/health semantics — same loop, same constants).
-    def _ioctl_hardened(self, desc: MigrationDescriptor, device=None) -> Generator:
-        task = self.task
-        cfg = self.cfg
-        machine = self.machine
-        health = machine.health if device is None else device.health
-        dma = machine.dma if device is None else device.dma
-        if cfg.injected_migration_rt_ns:
-            yield self.sim.timeout(cfg.injected_migration_rt_ns / 2.0)
-        yield self.sim.timeout(cfg.host_ioctl_entry_ns)
-        yield self.sim.timeout(cfg.host_desc_build_ns)
-        task.h2n_seq += 1
-        desc.seq = task.h2n_seq
-        if self._staging is None:
-            self._staging = machine.host_phys.alloc(DESCRIPTOR_BYTES, align=64)
-        machine.phys.write(self._staging, desc.pack())
-        task.state = TaskState.SUSPENDED
-        yield self.sim.timeout(cfg.host_context_switch_ns)
-        machine.cores.release(self.core)
-        self.core = None
-        sends = 0
-        while True:
-            for attempt in range(cfg.migration_retry_limit + 1):
-                if sends and machine.retry_budget is not None:
-                    # Machine-wide retry budget: every send after the
-                    # first must buy a token, else degrade to fallback
-                    # instead of storming the ring (docs/ROBUSTNESS.md).
-                    if not machine.retry_budget.take(self.sim.now):
-                        machine.trace.record(
-                            "retry_budget_denied", pid=task.pid, seq=desc.seq
-                        )
-                        # Fuse the pid: a stale reply to the abandoned
-                        # leg must not wake this pid's next wait.
-                        machine.fused_pids.add(task.pid)
-                        self.core = yield from machine.cores.acquire(task.name)
-                        task.state = TaskState.RUNNING
-                        raise NxpDeadError(task, "retry budget exhausted")
-                sends += 1
-                wake = Event(self.sim, name=f"{task.name}.wake.s{desc.seq}a{attempt}")
-                task.wake_event = wake
-                yield self.sim.timeout(cfg.host_dma_kick_ns)
-                machine.trace.record(
-                    "dma_h2n", pid=task.pid, kind=desc.kind, attempt=attempt
-                )
-                if attempt:
-                    machine.stats.count("migration.retry")
-                    machine.trace.record("retry", pid=task.pid, seq=desc.seq, attempt=attempt)
-                self.sim.spawn(
-                    dma.push_to_nxp(self._staging, DESCRIPTOR_BYTES, pid=task.pid),
-                    name=f"dma-h2n-{task.name}-a{attempt}",
-                )
-                self._spawn_watchdog(wake, cfg.migration_watchdog_ns)
-                inbound = yield wake
-                if inbound is not WATCHDOG_EXPIRED:
-                    health.record_success()
-                    self.core = yield from machine.cores.acquire(task.name)
-                    task.state = TaskState.RUNNING
-                    return inbound
-                task.wake_event = None
-                machine.stats.count("migration.watchdog_trip")
-                machine.trace.record(
-                    "watchdog_trip", pid=task.pid, seq=desc.seq, attempt=attempt
-                )
-                backoff = cfg.migration_backoff_base_ns * (
-                    cfg.migration_backoff_factor ** attempt
-                )
-                yield self.sim.timeout(backoff)
-                if device is not None and health is not None and health.dead:
-                    # Multi-NxP chaos kill latched DEAD under us; surface
-                    # immediately so the session is re-placed.
-                    self.core = yield from machine.cores.acquire(task.name)
-                    task.state = TaskState.RUNNING
-                    raise NxpDeadError(task)
-            health.record_failure(self.sim.now)
-            if health.dead:
-                self.core = yield from machine.cores.acquire(task.name)
-                task.state = TaskState.RUNNING
-                raise NxpDeadError(task)
-
-    def _spawn_watchdog(self, wake: Event, timeout_ns: float) -> None:
-        def watchdog(sim):
-            yield sim.timeout(timeout_ns)
-            if not wake.triggered:
-                wake.trigger(WATCHDOG_EXPIRED)
-
-        self.sim.spawn(watchdog(self.sim), name=f"watchdog-{self.task.name}")
-
-    # Hosted twin of HostThread._brownout_risk (same triggers, same
-    # counters — see host_runtime.py).
-    def _brownout_risk(self, device=None) -> bool:
-        cfg = self.cfg
-        machine = self.machine
-        deadline = getattr(self.task, "deadline_ns", None)
-        if deadline is not None and deadline - self.sim.now < cfg.brownout_margin_ns:
-            machine.stats.count("brownout.deadline_risk")
-            return True
-        limit = cfg.admission_queue_limit
-        if limit:
-            if device is not None:
-                over = device.outstanding >= limit
-            else:
-                over = machine.admitted_inflight > machine.admission_capacity()
-            if over:
-                machine.stats.count("brownout.queue_full")
-                return True
-        return False
-
-    def _fallback_call(self, fn: HostedFunction, args: List[int], session_start: float) -> Generator:
-        """Degraded mode: run the NISA body in the ``"fallback"`` context
-        (penalized host emulation) instead of migrating to the dead NxP."""
-        task = self.task
-        machine = self.machine
-        machine.stats.count("degraded.calls")
-        machine.trace.record("degraded_call", pid=task.pid, target=fn.addr)
-        if machine.trace.context_enabled:
-            machine.trace.annotate("h2n_session", pid=task.pid, fallback=True)
-        yield self.sim.timeout(self.cfg.host_fallback_entry_ns)
-        retval = yield from self.hosted.run_body(fn, args, "fallback")
-        machine.stats.observe("latency.degraded_session_ns", self.sim.now - session_start)
-        machine.trace.record("degraded_done", pid=task.pid, target=fn.addr)
-        machine.trace.end("h2n_session", pid=task.pid)
-        return retval
+    def _run_fallback_body(self, target: int, args: List[int]) -> Generator:
+        """Degraded mode: the NISA body runs in the ``"fallback"`` context
+        (penalized host emulation)."""
+        fn = self.hosted.program.by_addr[target]
+        return (yield from self.hosted.run_body(fn, args, "fallback"))
 
 
-class _HostedNxpEngine:
-    """Hosted twin of :class:`NxpPlatform`: dispatch loop + migrations.
+class _HostedNxpEngine(NxpMigrationHandler):
+    """The hosted executor of the NxP protocol half: one per device.
 
-    ``device`` is ``None`` on a single-NxP machine (the engine uses the
-    machine singletons — the exact pre-fleet paths); a multi-NxP hosted
-    machine runs one engine per :class:`NxpDevice`, bound to its ring,
-    DMA engine and BRAM slice.
+    A dispatched call spawns the body as its own process; the core stays
+    busy (the scheduler waits on ``_idle``) until the body parks on a
+    host call or finishes.
     """
 
-    def __init__(self, hosted: HostedMachine, device=None):
+    def __init__(self, hosted: HostedMachine, device):
+        super().__init__(hosted.machine, device)
         self.hosted = hosted
-        self._device = device
-        self.machine = hosted.machine
-        self.sim = hosted.sim
-        self.cfg = hosted.cfg
-        self._proc = None
-        self._staging: Optional[List[int]] = None
-        self._staging_idx = 0
         # Per-pid LIFO of (return event) for bodies parked awaiting a
         # host function's return (nesting-safe).
         self._parked: Dict[int, List[Event]] = {}
         self._idle: Optional[Event] = None  # body finished/parked handshake
-        # Hardened-protocol state (idempotent replay), mirrors NxpPlatform.
-        # (The outbound n2h sequence counter lives on the machine — it
-        # must be monotonic per pid across all devices.)
-        self._last_req_seq: Dict[int, int] = {}
-        self._resp_cache: Dict[int, MigrationDescriptor] = {}
-        self._resp_ready: Dict[int, bool] = {}
 
-    def start(self) -> None:
-        if self._proc is None:
-            name = (
-                "hosted-nxp-sched"
-                if self._device is None
-                else f"hosted-nxp-sched.{self._device.index}"
+    def _execute(self, desc: MigrationDescriptor) -> Generator:
+        idle = Event(self.sim, name="nxp.idle")
+        self._idle = idle
+        if desc.is_call:
+            fn = self.hosted.program.by_addr[desc.target]
+            task = self.machine.kernel.task_by_pid(desc.pid)
+            self.sim.spawn(
+                self._run_call(task, fn, desc.args), name=f"nxp-body-{fn.name}"
             )
-            self._proc = self.sim.spawn(self._dispatcher(), name=name)
-
-    def reset_device(self) -> None:
-        """Hosted twin of NxpPlatform.reset_device: wipe replay state and
-        let :meth:`start` respawn the dispatcher after a revive.  Ring
-        pointers and the killed/draining flags are the machine's side of
-        the reset (``FlickMachine.revive_nxp``); stale pre-kill arrivals
-        are absorbed by the dispatcher's pending recheck.
-
-        The dispatcher is forgotten only if it already exited — a kill
-        can leave it parked on the arrival channel (no arrivals reach a
-        dead device to wake it), and that parked process resumes as the
-        revived device's dispatcher.  A second dispatcher beside it
-        would double-pop the ring on the next doorbell."""
-        self._last_req_seq.clear()
-        self._resp_cache.clear()
-        self._resp_ready.clear()
-        if self._proc is not None and not self._proc.alive:
-            self._proc = None
-
-    def _dispatcher(self) -> Generator:
-        dev = self._device
-        ring = self.machine.nxp_ring if dev is None else dev.nxp_ring
-        dma = self.machine.dma if dev is None else dev.dma
-        while True:
-            if dev is not None and dev.killed:
-                return  # abrupt chaos kill: the scheduler silicon stops
-            if ring.pending == 0:
-                yield dma.nxp_arrival.get()
-                if dev is not None and dev.killed:
-                    return
-                yield self.sim.timeout(self.cfg.nxp_poll_period_ns / 2.0)
-                if ring.pending == 0:
-                    continue
-            dispatch_start = self.sim.now
-            yield self.sim.timeout(self.cfg.nxp_sched_dispatch_ns)
-            slot = ring.pop_addr()
-            raw = self.machine.phys.read(slot, DESCRIPTOR_BYTES)
-            if self.machine.hardened:
-                desc = yield from self._hardened_admit(raw)
-                if desc is None:
-                    continue
-            else:
-                desc = MigrationDescriptor.unpack(raw)
-            yield self.sim.timeout(self.cfg.nxp_context_switch_ns)
-            idle = Event(self.sim, name="nxp.idle")
-            self._idle = idle
-            # Device index attr mirrors NxpPlatform: feeds per-device
-            # utilization and causal trace labels; singleton = device 0.
-            dev_index = 0 if dev is None else dev.index
-            if desc.is_call:
-                fn = self.hosted.program.by_addr[desc.target]
-                task = self.machine.kernel.task_by_pid(desc.pid)
-                self.machine.trace.record("nxp_dispatch_call", pid=desc.pid, target=desc.target)
-                self.machine.trace.begin(
-                    "nxp_resident", pid=desc.pid, entry="call", device=dev_index
-                )
-                self.sim.spawn(
-                    self._run_call(task, fn, desc.args), name=f"nxp-body-{fn.name}"
-                )
-            else:
-                # Resume the most recently parked body for this pid.
-                stack = self._parked.get(desc.pid)
-                if not stack:
-                    raise RuntimeError("hosted: return descriptor with no parked body")
-                self.machine.trace.record("nxp_dispatch_return", pid=desc.pid)
-                self.machine.trace.begin(
-                    "nxp_resident", pid=desc.pid, entry="return", device=dev_index
-                )
-                stack.pop().trigger((desc.retval, idle))
-            yield idle  # core is busy until the body parks or finishes
-            self.machine.stats.sample("nxp.busy_ns", self.sim.now - dispatch_start)
+        else:
+            # Resume the most recently parked body for this pid.
+            stack = self._parked.get(desc.pid)
+            if not stack:
+                raise RuntimeError("hosted: return descriptor with no parked body")
+            stack.pop().trigger((desc.retval, idle))
+        yield idle  # core is busy until the body parks or finishes
 
     def _run_call(self, task: Task, fn: HostedFunction, args) -> Generator:
         retval = yield from self.hosted.run_body(fn, list(args), "nxp", engine=self)
@@ -1056,8 +648,8 @@ class _HostedNxpEngine:
         yield from self._send_to_host(desc)
         self.machine.trace.record("n2h_return", pid=task.pid)
         self.machine.trace.end("nxp_resident", pid=task.pid, exit="return")
-        # Hand the core back to the dispatcher.  self._idle is always the
-        # event the dispatcher armed for the *current* activation, which
+        # Hand the core back to the scheduler.  self._idle is always the
+        # event the scheduler armed for the *current* activation, which
         # under LIFO nesting is exactly the one waiting on this body.
         self._idle.trigger()
 
@@ -1076,85 +668,7 @@ class _HostedNxpEngine:
         yield from self._send_to_host(desc)
         self.machine.trace.record("n2h_call", pid=task.pid, target=fn.addr)
         self.machine.trace.end("nxp_resident", pid=task.pid, exit="call")
-        self._idle.trigger()  # hand the NxP core back to the dispatcher
+        self._idle.trigger()  # hand the NxP core back to the scheduler
         retval, idle = yield resume  # woken by a host->NxP return descriptor
         self._idle = idle
         return retval
-
-    # Hosted twin of NxpPlatform._hardened_admit: fault pulls, descriptor
-    # integrity, and idempotent-replay dedup on the inbound (h2n) leg.
-    def _hardened_admit(self, raw: bytes) -> Generator:
-        machine = self.machine
-        injector = machine.injector
-        for rule in injector.pull("nxp"):
-            if rule.kind == "nxp_crash":
-                machine.stats.count("nxp.crashed")
-                machine.trace.record("nxp_crash")
-                yield from self._park_forever()
-            if rule.kind == "nxp_hang" and rule.delay_ns > 0:
-                machine.stats.count("nxp.stall")
-                machine.trace.record("nxp_stall", delay_ns=rule.delay_ns)
-                yield self.sim.timeout(rule.delay_ns)
-                # Transient stall: the descriptor is lost but dedup state
-                # is untouched, so the host's retransmit is processed fresh.
-                return None
-            if rule.kind == "nxp_hang":
-                machine.stats.count("nxp.hung")
-                machine.trace.record("nxp_hang")
-                yield from self._park_forever()
-        try:
-            desc = MigrationDescriptor.unpack(raw)
-        except DescriptorCorrupt as exc:
-            machine.stats.count("nxp.desc_corrupt_discarded")
-            machine.trace.record("desc_discard", where="nxp", reason=str(exc))
-            return None
-        last = self._last_req_seq.get(desc.pid, 0)
-        if desc.seq <= last:
-            if desc.seq == last and self._resp_ready.get(desc.pid):
-                machine.stats.count("nxp.replay")
-                machine.trace.record("replay", pid=desc.pid, seq=desc.seq)
-                yield from self._retransmit_response(desc.pid)
-            else:
-                machine.stats.count("nxp.dup_discarded")
-            return None
-        self._last_req_seq[desc.pid] = desc.seq
-        self._resp_ready[desc.pid] = False
-        return desc
-
-    def _park_forever(self) -> Generator:
-        yield Event(self.sim, name="hosted-nxp.dead")  # never triggered
-
-    def _retransmit_response(self, pid: int) -> Generator:
-        desc = self._resp_cache.get(pid)
-        if desc is not None:
-            yield from self._push_desc(desc)
-
-    def _send_to_host(self, desc: MigrationDescriptor) -> Generator:
-        if self.machine.hardened:
-            seq = self.machine.n2h_seq.get(desc.pid, 0) + 1
-            self.machine.n2h_seq[desc.pid] = seq
-            desc.seq = seq
-            self._resp_cache[desc.pid] = desc
-            self._resp_ready[desc.pid] = True
-        yield from self._push_desc(desc)
-
-    def _push_desc(self, desc: MigrationDescriptor) -> Generator:
-        cfg = self.cfg
-        if cfg.injected_migration_rt_ns:
-            yield self.sim.timeout(cfg.injected_migration_rt_ns / 2.0)
-        dev = self._device
-        if self._staging is None:
-            bram = self.machine.bram_phys if dev is None else dev.bram
-            self._staging = [
-                bram.alloc(DESCRIPTOR_BYTES, align=64) for _ in range(8)
-            ]
-        buf = self._staging[self._staging_idx]
-        self._staging_idx = (self._staging_idx + 1) % len(self._staging)
-        self.machine.phys.write(buf, desc.pack())
-        yield self.sim.timeout(cfg.nxp_context_switch_ns)
-        yield self.sim.timeout(cfg.nxp_dma_kick_ns)
-        dma = self.machine.dma if dev is None else dev.dma
-        self.sim.spawn(
-            dma.push_to_host(buf, DESCRIPTOR_BYTES, pid=desc.pid),
-            name="dma-n2h-hosted",
-        )

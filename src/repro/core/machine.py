@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.config import DEFAULT_CONFIG, FlickConfig
 from repro.core.descriptors import DESCRIPTOR_BYTES
+from repro.core.health import NxpHealth, RetryBudget
 from repro.core.host_runtime import HostThread
 from repro.core.nxp_device import NxpDevice
 from repro.core.nxp_platform import NxpPlatform
@@ -34,9 +35,11 @@ from repro.interconnect.dma import DMAEngine, DescriptorRing
 from repro.interconnect.interrupt import MIGRATION_VECTOR, InterruptController
 from repro.interconnect.pcie import PCIeLink
 from repro.memory.allocator import RegionAllocator
+from repro.memory.cache import CacheableFilter
 from repro.memory.physical import MemoryRegion, MMIORegion, PhysicalMemory
 from repro.os.kernel import Kernel
 from repro.os.loader import load_executable
+from repro.os.placement import PlacementLayer
 from repro.os.scheduler import CorePool
 from repro.os.task import Process, Task
 from repro.sim.engine import Simulator
@@ -115,7 +118,6 @@ class FlickMachine:
             "host_phys", 256 * MB, mm.host_dram_size - 256 * MB
         )
         self.nxp_phys = RegionAllocator("nxp_phys", mm.bar0_base, mm.nxp_local_size)
-        self.bram_phys = RegionAllocator("bram_phys", mm.nxp_bram_base, mm.nxp_bram_size)
 
         # -- fault injection (tentpole of docs/ROBUSTNESS.md) -----------------
         # The injector exists ONLY when a fault plan is armed; with it
@@ -123,7 +125,6 @@ class FlickMachine:
         # and the machine executes the exact pre-hardening code paths —
         # that is the faults-off parity contract.
         if cfg.faults:
-            from repro.core.health import NxpHealth
             from repro.sim.faults import FaultInjector
 
             self.injector = FaultInjector(
@@ -133,17 +134,13 @@ class FlickMachine:
                 stats=self.stats,
                 trace=self.trace,
             )
-            self.health = self._build_health(cfg)
         else:
             self.injector = None
-            self.health = None
         # -- overload protection (docs/ROBUSTNESS.md) -------------------------
         # Like the injector: the retry budget exists ONLY when its knob
         # is non-default, so budget-off runs skip every consult branch
         # and stay on the exact pre-budget code paths.
         if cfg.retry_budget_tokens > 0:
-            from repro.core.health import RetryBudget
-
             self.retry_budget = RetryBudget(
                 cfg.retry_budget_tokens,
                 cfg.retry_budget_refill_per_ms,
@@ -180,50 +177,24 @@ class FlickMachine:
         self.irq = InterruptController(self.sim, cfg, stats=self.stats, trace=self.trace)
 
         # -- NxP devices (docs/FLEET.md) --------------------------------------
-        # nxp_count == 1 (the default, and the paper's machine) takes the
-        # exact pre-fleet construction below — singletons first, then a
-        # pure-aliasing NxpDevice wrapper so placement/fleet code can
-        # iterate machine.devices uniformly.  nxp_count > 1 builds one
-        # ring pair / DMA engine / MSI vector / BRAM slice / health
-        # machine per device, all sharing the one PCIe link above.
+        # Every machine is a fleet: one ring pair / DMA engine / MSI vector
+        # / BRAM slice / health machine / scheduler per device, all
+        # sharing the one PCIe link above.  nxp_count == 1 (the default,
+        # and the paper's machine) is a fleet of one.
         if cfg.nxp_count < 1:
             raise ValueError(f"nxp_count must be >= 1, got {cfg.nxp_count}")
-        self.multi_nxp = cfg.nxp_count > 1
         self.devices: List[NxpDevice] = []
-        if not self.multi_nxp:
-            self.dma = DMAEngine(
-                self.sim, cfg, self.link, self.irq, stats=self.stats, trace=self.trace,
-                injector=self.injector,
-            )
-            nxp_ring_base = self.bram_phys.alloc(16 * DESCRIPTOR_BYTES, align=4096)
-            host_ring_base = self.host_phys.alloc(16 * DESCRIPTOR_BYTES, align=4096)
-            self.nxp_ring = DescriptorRing(self.phys, nxp_ring_base, 16, DESCRIPTOR_BYTES)
-            self.host_ring = DescriptorRing(self.phys, host_ring_base, 16, DESCRIPTOR_BYTES)
-            self.dma.attach_rings(self.nxp_ring, self.host_ring)
-            self.dma.register_mmio(self.mmio)
-        else:
-            self._build_devices(cfg)
-        self.placement = None
-        if self.multi_nxp:
-            from repro.os.placement import PlacementLayer
-
-            self.placement = PlacementLayer(self, cfg.placement_policy)
+        self._build_devices(cfg)
+        self.placement = PlacementLayer(self, cfg.placement_policy)
 
         # -- OS + platforms ---------------------------------------------------------
         self.cores = CorePool(self.sim, host_cores, stats=self.stats)
         self.kernel = Kernel(self.sim, cfg, self)
-        if self.multi_nxp:
-            for dev in self.devices:
-                dev.platform = NxpPlatform(self, device=dev)
-            self.nxp = self.devices[0].platform
-        else:
-            self.nxp = NxpPlatform(self)
-            dev0 = NxpDevice(
-                self, 0, MIGRATION_VECTOR, self.dma, self.nxp_ring,
-                self.host_ring, self.bram_phys, self.health,
-            )
-            dev0.platform = self.nxp
-            self.devices.append(dev0)
+        # @nxp data windows the loader registers as NxP-D-cacheable; one
+        # filter shared by every device's memory port.
+        self.nxp_cacheable = CacheableFilter()
+        for dev in self.devices:
+            dev.platform = NxpPlatform(self, dev)
         self.threads: List[HostThread] = []
         self.runtime_symbols = dict(STUB_SYMBOLS)
         # Multi-ISA kernel modules (Section IV-D): segments shared by
@@ -234,13 +205,11 @@ class FlickMachine:
         self.module_isa_of_symbol: Dict[str, object] = {}
 
     def _build_devices(self, cfg: FlickConfig) -> None:
-        """Multi-NxP construction: per-device rings/DMA/vector/BRAM/health.
+        """Per-device rings/DMA/vector/BRAM slice/health.
 
-        Device 0's BRAM slice starts at the BRAM base and allocates its
-        inbound ring first, so its ring/staging/stack addresses coincide
-        with the single-NxP layout.  The machine-level singleton handles
-        (``dma``, ``nxp_ring``, ``host_ring``, ``bram_phys``, ``health``)
-        are re-aliased to device 0 for any code that still reads them.
+        Device ``i``'s BRAM slice starts at ``i / n`` of the BRAM window
+        and allocates its inbound ring first; its STATUS registers sit at
+        MMIO offset ``i * 0x10`` and it raises ``MIGRATION_VECTOR + i``.
         """
         mm = self.memory_map
         n = cfg.nxp_count
@@ -266,33 +235,21 @@ class FlickMachine:
             dma.register_mmio(self.mmio, base=i * 0x10)
             health = None
             if self.injector is not None:
-                health = self._build_health(cfg)
+                health = NxpHealth(
+                    cfg.nxp_dead_threshold,
+                    stats=self.stats,
+                    trace=self.trace,
+                    recovery=cfg.nxp_recovery,
+                    probe_target=cfg.nxp_probe_successes,
+                    quarantine_base_ns=cfg.nxp_quarantine_base_ns,
+                    quarantine_factor=cfg.nxp_quarantine_factor,
+                )
             self.devices.append(
                 NxpDevice(
                     self, i, MIGRATION_VECTOR + i, dma, nxp_ring, host_ring,
                     bram, health,
                 )
             )
-        dev0 = self.devices[0]
-        self.dma = dev0.dma
-        self.nxp_ring = dev0.nxp_ring
-        self.host_ring = dev0.host_ring
-        self.bram_phys = dev0.bram
-        self.health = dev0.health
-
-    def _build_health(self, cfg: FlickConfig):
-        """One per-device health machine, with the breaker knobs wired."""
-        from repro.core.health import NxpHealth
-
-        return NxpHealth(
-            cfg.nxp_dead_threshold,
-            stats=self.stats,
-            trace=self.trace,
-            recovery=cfg.nxp_recovery,
-            probe_target=cfg.nxp_probe_successes,
-            quarantine_base_ns=cfg.nxp_quarantine_base_ns,
-            quarantine_factor=cfg.nxp_quarantine_factor,
-        )
 
     @property
     def hardened(self) -> bool:
@@ -316,7 +273,8 @@ class FlickMachine:
             if fallback is not None:
                 engines.append(getattr(fallback, "_jit", None))
         for dev in self.devices:
-            engines.append(getattr(dev.platform.cpu, "_jit", None))
+            # A hosted machine's engines run no NISA interpreter.
+            engines.append(getattr(getattr(dev.platform, "cpu", None), "_jit", None))
         for engine in engines:
             if engine is None:
                 continue
@@ -431,17 +389,14 @@ class FlickMachine:
 
     # -- services used by the runtimes -------------------------------------------------
 
-    def alloc_nxp_stack(self, device: Optional[NxpDevice] = None) -> int:
-        """Allocate one thread's NxP stack from BRAM; returns its vaddr.
-
-        ``device`` (multi-NxP only) selects whose BRAM slice backs the
-        stack; the whole BRAM window is mapped in every address space,
-        so the vaddr formula is slice-agnostic.
+    def alloc_nxp_stack(self, device: NxpDevice) -> int:
+        """Allocate one thread's NxP stack from ``device``'s BRAM slice;
+        returns its vaddr.  The whole BRAM window is mapped in every
+        address space, so the vaddr formula is slice-agnostic.
         """
         from repro.os.loader import NXP_STACK_VBASE
 
-        alloc = self.bram_phys if device is None else device.bram
-        paddr = alloc.alloc(self.cfg.nxp_stack_bytes, align=4096)
+        paddr = device.bram.alloc(self.cfg.nxp_stack_bytes, align=4096)
         return NXP_STACK_VBASE + (paddr - self.memory_map.nxp_bram_base)
 
     def release_nxp_stack(self, vaddr: int) -> None:
@@ -456,13 +411,11 @@ class FlickMachine:
         from repro.os.loader import NXP_STACK_VBASE
 
         paddr = self.memory_map.nxp_bram_base + (vaddr - NXP_STACK_VBASE)
-        if self.multi_nxp:
-            for dev in self.devices:
-                if dev.bram.owns(paddr):
-                    dev.bram.free(paddr)
-                    return
-            raise ValueError(f"NxP stack vaddr {vaddr:#x} owned by no device")
-        self.bram_phys.free(paddr)
+        for dev in self.devices:
+            if dev.bram.owns(paddr):
+                dev.bram.free(paddr)
+                return
+        raise ValueError(f"NxP stack vaddr {vaddr:#x} owned by no device")
 
     def kill_nxp(self, index: int, mode: str = "abrupt") -> None:
         """Chaos hook: take NxP ``index`` out of service mid-run.
@@ -472,10 +425,10 @@ class FlickMachine:
         without the hardened protocol).  ``mode="abrupt"`` additionally
         stops the device's scheduler and latches its health DEAD, so
         in-flight legs are recovered by the hardened watchdogs — it
-        therefore *requires* an armed fault plan.
+        therefore *requires* an armed fault plan.  Killing the only
+        device of a one-NxP machine degrades every later call to host
+        fallback.
         """
-        if not self.multi_nxp:
-            raise ValueError("kill_nxp requires a multi-NxP machine (nxp_count > 1)")
         dev = self.devices[index]
         if mode == "drain":
             dev.draining = True
@@ -488,8 +441,7 @@ class FlickMachine:
                 )
             dev.draining = True
             dev.killed = True
-            if dev.health is not None:
-                dev.health.force_dead("killed")
+            dev.health.force_dead("killed")
         else:
             raise ValueError(f"unknown kill mode {mode!r}")
         self.trace.record("nxp_kill", device=index, mode=mode)
@@ -514,14 +466,11 @@ class FlickMachine:
                 "watchdog/health machinery"
             )
         dev = self.devices[index]
-        out_of_service = (
-            dev.draining or dev.killed or (dev.health is not None and dev.health.dead)
-        )
-        if not out_of_service:
+        if not (dev.draining or dev.killed or dev.health.dead):
             raise ValueError(f"NxP {index} is in service; nothing to revive")
         # Health gate first: a quarantine refusal must leave the device
         # untouched (still out of service, state unchanged).
-        if dev.health is not None and dev.health.dead:
+        if dev.health.dead:
             dev.health.begin_recovery(self.sim.now)
         dev.draining = False
         dev.killed = False
@@ -535,13 +484,10 @@ class FlickMachine:
             ring.head = ring.tail = ring.reserved = 0
         # ... and the platform's hardened replay caches + scheduler, so
         # the revived device starts from a clean idempotency horizon.
-        # A hosted machine runs _HostedNxpEngine dispatchers instead of
-        # the interpreted platforms; it registers them as hosted_engine.
-        engine = getattr(dev, "hosted_engine", None) or dev.platform
-        engine.reset_device()
+        dev.platform.reset_device()
         self.stats.count("nxp.revived")
         self.trace.record("nxp_revive", device=index)
-        engine.start()
+        dev.platform.start()
 
     # -- admission control (docs/ROBUSTNESS.md) -----------------------------
 

@@ -1,9 +1,9 @@
-"""One NxP device slot of a multi-NxP machine (docs/FLEET.md).
+"""One NxP device slot of a machine (docs/FLEET.md).
 
-A :class:`~repro.core.machine.FlickMachine` built with
-``cfg.nxp_count > 1`` owns one :class:`NxpDevice` per PCIe-attached NxP.
-Each device bundles the per-device hardware a single-NxP machine keeps
-as machine singletons:
+Every :class:`~repro.core.machine.FlickMachine` is a fleet: it owns
+``cfg.nxp_count`` :class:`NxpDevice` records (one for the paper's
+machine), one per PCIe-attached NxP.  Each device bundles its own
+hardware:
 
 * a descriptor-ring pair (NxP inbound in the device's BRAM slice, host
   inbound in host DRAM),
@@ -12,24 +12,21 @@ as machine singletons:
 * a BRAM slice allocator (stacks + staging buffers for this device),
 * an :class:`~repro.core.health.NxpHealth` machine when faults are
   armed, and
-* the device's :class:`~repro.core.nxp_platform.NxpPlatform` scheduler.
+* the device's scheduler: an
+  :class:`~repro.core.nxp_platform.NxpMigrationHandler` (the interpreted
+  ``NxpPlatform``, or a hosted machine's engine).
 
 All devices share one PCIe link, so concurrent descriptor traffic
-serializes there — the natural contention model.  The single-NxP
-machine also wraps its singletons in one ``NxpDevice`` so placement and
-fleet code iterate ``machine.devices`` uniformly, but that wrapper is
-pure aliasing: single-NxP execution never consults it.
+serializes there — the natural contention model.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 __all__ = ["NxpDevice"]
 
 
 class NxpDevice:
-    """Hardware + health bundle for one NxP of a (multi-)NxP machine."""
+    """Hardware + health bundle for one NxP of a machine."""
 
     def __init__(self, machine, index: int, vector: int, dma, nxp_ring,
                  host_ring, bram, health=None):
@@ -41,7 +38,7 @@ class NxpDevice:
         self.host_ring = host_ring
         self.bram = bram  # RegionAllocator over this device's BRAM slice
         self.health = health  # NxpHealth, or None when faults are unarmed
-        self.platform = None  # NxpPlatform, attached by the machine
+        self.platform = None  # NxpMigrationHandler, attached by the machine
         #: Migration sessions currently routed to this device (opened by
         #: the host runtime, closed when the session's final return
         #: lands).  The ``least_loaded`` placement policy reads this.

@@ -18,11 +18,18 @@ Reentrancy is handled with a per-thread stack of saved register
 contexts: each nested call level pushes one snapshot, exactly as each
 level of the paper's handler occupies one more frame of the thread's
 NxP stack.
+
+The protocol half — scheduler intake, hardened admission, the replay
+caches and the outbound send path — lives in
+:class:`NxpMigrationHandler`, written once for both executors; the
+interpreted :class:`NxpPlatform` and the hosted engine
+(``repro.core.hosted``) only supply how a dispatched call or return
+runs.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
 from repro.core.descriptors import (
     DESCRIPTOR_BYTES,
@@ -48,53 +55,27 @@ from repro.os.kernel import ProcessCrash
 from repro.os.task import CpuContext, Task
 from repro.sim.engine import Event
 
-__all__ = ["NxpPlatform"]
+__all__ = ["NxpMigrationHandler", "NxpPlatform"]
 
 
-class NxpPlatform:
-    """One NxP core + its TLBs/MMU/caches + the polling scheduler.
+class NxpMigrationHandler:
+    """Listing 2's protocol half for one NxP device.
 
-    ``device`` is ``None`` on a single-NxP machine (the platform uses
-    the machine's singleton ring/DMA/BRAM — the exact pre-fleet paths);
-    a multi-NxP machine passes this platform's
-    :class:`~repro.core.nxp_device.NxpDevice`, whose ring/DMA/BRAM are
-    used instead.  Stat names stay the legacy ``nxp.*`` on every
-    device, so multi-NxP counters aggregate across the fleet of cores.
+    Polls the device's inbound ring, gates each descriptor through the
+    hardened admission checks when a fault plan is armed, and ships
+    outbound descriptors back over the device's DMA engine.  Subclasses
+    supply :meth:`_execute`: run one dispatched call or return until
+    the thread leaves the NxP core.
     """
 
-    def __init__(self, machine, device=None):
+    def __init__(self, machine, device):
         self.machine = machine
-        self._device = device
+        self.device = device
         self.sim = machine.sim
         self.cfg = machine.cfg
-        self.current_tables: Optional[PageTables] = None
-        self.walker = PageWalker(
-            self.sim, self.cfg, lambda: self.current_tables, stats=machine.stats, name="nxp.mmu"
-        )
-        self.port = NxpMemoryPort(
-            self.sim,
-            self.cfg,
-            machine.phys,
-            machine.link,
-            self.walker,
-            stats=machine.stats,
-            tables_provider=lambda: self.current_tables,
-        )
-        self.cpu = Interpreter(
-            "nisa",
-            self.sim,
-            self.port,
-            CostModel(self.cfg.nxp_cycle_ns, ipc=1.0),
-            stats=machine.stats,
-            name="nxp.core",
-            decode_cache=self.cfg.decode_cache,
-            jit=self.cfg.jit_enabled,
-            jit_hot_threshold=self.cfg.jit_hot_threshold,
-            jit_max_superblock=self.cfg.jit_max_superblock,
-            trace=machine.trace,
-        )
-        self._staging: Optional[int] = None
         self._proc = None
+        self._staging: Optional[list] = None
+        self._staging_idx = 0
         # Hardened-protocol state (advanced only when faults are armed):
         # per-pid inbound dedup and the outbound replay cache that lets a
         # retransmitted request be answered without re-executing it.
@@ -104,15 +85,16 @@ class NxpPlatform:
         self._resp_cache: dict = {}
         self._resp_ready: dict = {}
 
+    def _execute(self, desc: MigrationDescriptor) -> Generator:
+        """Run a dispatched call or return until the thread leaves the core."""
+        raise NotImplementedError
+
     def start(self) -> None:
         """Boot the scheduler (idempotent)."""
         if self._proc is None:
-            name = (
-                "nxp-scheduler"
-                if self._device is None
-                else f"nxp-scheduler.{self._device.index}"
+            self._proc = self.sim.spawn(
+                self._scheduler(), name=f"nxp-scheduler.{self.device.index}"
             )
-            self._proc = self.sim.spawn(self._scheduler(), name=name)
 
     def reset_device(self) -> None:
         """Device-reset half of ``machine.revive_nxp`` (docs/ROBUSTNESS.md).
@@ -139,14 +121,13 @@ class NxpPlatform:
     # -- the polling scheduler --------------------------------------------------
 
     def _scheduler(self) -> Generator:
-        dev = self._device
-        ring = self.machine.nxp_ring if dev is None else dev.nxp_ring
-        dma = self.machine.dma if dev is None else dev.dma
-        status_addr = self.cfg.memory_map.mmio_base + (
-            0x00 if dev is None else dev.index * 0x10
-        )
+        dev = self.device
+        machine = self.machine
+        cfg = self.cfg
+        ring = dev.nxp_ring
+        status_addr = cfg.memory_map.mmio_base + dev.index * 0x10
         while True:
-            if dev is not None and dev.killed:
+            if dev.killed:
                 # Abruptly-killed device (chaos): the scheduler silicon
                 # stops.  In-flight host legs are recovered by their
                 # watchdogs; this process simply exits so the sim can
@@ -157,52 +138,36 @@ class NxpPlatform:
                 # register; the simulation sleeps until the next arrival
                 # and charges half a poll period (the mean discovery
                 # delay of a free-running poll loop).
-                yield dma.nxp_arrival.get()
-                if dev is not None and dev.killed:
+                yield dev.dma.nxp_arrival.get()
+                if dev.killed:
                     return
-                yield self.sim.timeout(self.cfg.nxp_poll_period_ns / 2.0)
-                if self.machine.phys.read_u64(status_addr) == 0:
+                yield self.sim.timeout(cfg.nxp_poll_period_ns / 2.0)
+                if machine.phys.read_u64(status_addr) == 0:
                     continue  # stale wakeup: descriptor already consumed
             dispatch_start = self.sim.now
-            yield self.sim.timeout(self.cfg.nxp_sched_dispatch_ns)
-            slot = ring.pop_addr()
-            raw = self.machine.phys.read(slot, DESCRIPTOR_BYTES)
-            if self.machine.hardened:
+            yield self.sim.timeout(cfg.nxp_sched_dispatch_ns)
+            raw = machine.phys.read(ring.pop_addr(), DESCRIPTOR_BYTES)
+            if machine.hardened:
                 desc = yield from self._hardened_admit(raw)
                 if desc is None:
                     continue
             else:
                 desc = MigrationDescriptor.unpack(raw)
-            task = self.machine.kernel.task_by_pid(desc.pid)
-            self._switch_address_space(task, desc.cr3)
-            yield self.sim.timeout(self.cfg.nxp_context_switch_ns)
-
-            # Which device's core this residency runs on: the singleton
-            # platform is device 0.  The attr feeds per-device
-            # utilization (analysis/metrics.py) and causal trace labels.
-            dev_index = 0 if dev is None else dev.index
+            yield self.sim.timeout(cfg.nxp_context_switch_ns)
+            # The device attr feeds per-device utilization
+            # (analysis/metrics.py) and causal trace labels.
             if desc.is_call:
-                self.machine.trace.record("nxp_dispatch_call", pid=desc.pid, target=desc.target)
-                self.machine.trace.begin(
-                    "nxp_resident", pid=desc.pid, entry="call", device=dev_index
+                machine.trace.record("nxp_dispatch_call", pid=desc.pid, target=desc.target)
+                machine.trace.begin(
+                    "nxp_resident", pid=desc.pid, entry="call", device=dev.index
                 )
-                yield from self.cpu.setup_call(desc.target, desc.args, sp=desc.nxp_sp)
             else:
-                self.machine.trace.record("nxp_dispatch_return", pid=desc.pid)
-                self.machine.trace.begin(
-                    "nxp_resident", pid=desc.pid, entry="return", device=dev_index
+                machine.trace.record("nxp_dispatch_return", pid=desc.pid)
+                machine.trace.begin(
+                    "nxp_resident", pid=desc.pid, entry="return", device=dev.index
                 )
-                if not task.nxp_context_stack:
-                    raise ProcessCrash(task, "return descriptor with no suspended NxP context")
-                ctx = task.nxp_context_stack.pop()
-                self.cpu.regs.restore(ctx.regs)
-                # Simulated return from the (hijacked) JAL: pc <- ra,
-                # return value in a0.
-                self.cpu.pc = self.cpu.regs.read(self.cpu.abi.link_reg)
-                self.cpu.regs.write(self.cpu.abi.ret_reg, desc.retval)
-
-            yield from self._run_thread(task)
-            self.machine.stats.sample("nxp.busy_ns", self.sim.now - dispatch_start)
+            yield from self._execute(desc)
+            machine.stats.sample("nxp.busy_ns", self.sim.now - dispatch_start)
 
     # -- hardened intake (active only when a fault plan is armed) -----------------
 
@@ -247,7 +212,9 @@ class NxpPlatform:
                 # (or its interrupt) was lost in flight — replay it.
                 machine.stats.count("nxp.replay")
                 machine.trace.record("replay", pid=desc.pid, seq=desc.seq)
-                yield from self._retransmit_response(desc.pid)
+                cached = self._resp_cache.get(desc.pid)
+                if cached is not None:
+                    yield from self._push_desc(cached)
             else:
                 # Duplicate of the request currently being processed
                 # (or an ancient straggler): nothing to do yet.
@@ -260,30 +227,101 @@ class NxpPlatform:
     def _park_forever(self) -> Generator:
         yield Event(self.sim, name="nxp.dead")  # never triggered
 
-    def _retransmit_response(self, pid: int) -> Generator:
-        desc = self._resp_cache.get(pid)
-        if desc is None:
-            return
-        task = self.machine.kernel.task_by_pid(pid)
-        yield from self._push_desc(task, desc)
+    # -- the outbound send path -------------------------------------------------
 
-    def _switch_address_space(self, task: Task, cr3: int) -> None:
-        tables = task.process.page_tables
-        if cr3 and tables.cr3 != cr3:
-            raise ProcessCrash(task, f"descriptor CR3 {cr3:#x} != process CR3 {tables.cr3:#x}")
-        if self.current_tables is not tables:
-            self.current_tables = tables
-            self.port.flush_tlbs()
-            # Decodes and superblocks are keyed by virtual PC, and
-            # another address space may map other code at the same PCs:
-            # run on the incoming space's own caches.
-            self.cpu.switch_address_space(task.process.decode_caches, tables)
-            self.machine.stats.count("nxp.address_space_switch")
+    def _send_to_host(self, desc: MigrationDescriptor) -> Generator:
+        if self.machine.hardened:
+            # Stamp the per-pid n2h sequence and remember the descriptor:
+            # if this answer (or its IRQ) is lost, the host's retransmit
+            # of the matching request replays it from the cache.  The
+            # counter is machine-wide (not per device) so replies stay
+            # monotonic per pid across the whole fleet.
+            seq = self.machine.n2h_seq.get(desc.pid, 0) + 1
+            self.machine.n2h_seq[desc.pid] = seq
+            desc.seq = seq
+            self._resp_cache[desc.pid] = desc
+            self._resp_ready[desc.pid] = True
+        yield from self._push_desc(desc)
 
-    # -- thread execution until it leaves the NxP ----------------------------------
+    def _push_desc(self, desc: MigrationDescriptor) -> Generator:
+        cfg = self.cfg
+        if cfg.injected_migration_rt_ns:
+            # Prior-work overhead emulation (see host_runtime counterpart).
+            yield self.sim.timeout(cfg.injected_migration_rt_ns / 2.0)
+        if self._staging is None:
+            # A small rotating pool so a burst in flight is never
+            # overwritten by the next outbound descriptor.
+            self._staging = [
+                self.device.bram.alloc(DESCRIPTOR_BYTES, align=64) for _ in range(8)
+            ]
+        buf = self._staging[self._staging_idx]
+        self._staging_idx = (self._staging_idx + 1) % len(self._staging)
+        self.machine.phys.write(buf, desc.pack())
+        yield self.sim.timeout(cfg.nxp_context_switch_ns)  # back to scheduler
+        yield self.sim.timeout(cfg.nxp_dma_kick_ns)
+        self.sim.spawn(
+            self.device.dma.push_to_host(buf, DESCRIPTOR_BYTES, pid=desc.pid),
+            name=f"dma-n2h-{desc.pid}",
+        )
 
-    def _run_thread(self, task: Task) -> Generator:
+
+class NxpPlatform(NxpMigrationHandler):
+    """One NxP core + its TLBs/MMU/caches, running the interpreted NISA.
+
+    Stat names stay the legacy ``nxp.*`` on every device, so multi-NxP
+    counters aggregate across the fleet of cores.
+    """
+
+    def __init__(self, machine, device):
+        super().__init__(machine, device)
+        self.current_tables: Optional[PageTables] = None
+        self.walker = PageWalker(
+            self.sim, self.cfg, lambda: self.current_tables, stats=machine.stats, name="nxp.mmu"
+        )
+        self.port = NxpMemoryPort(
+            self.sim,
+            self.cfg,
+            machine.phys,
+            machine.link,
+            self.walker,
+            stats=machine.stats,
+            tables_provider=lambda: self.current_tables,
+        )
+        # @nxp data is D-cacheable on every device: all ports share the
+        # machine's one filter, which the loader fills.
+        self.port.cacheable = machine.nxp_cacheable
+        self.cpu = Interpreter(
+            "nisa",
+            self.sim,
+            self.port,
+            CostModel(self.cfg.nxp_cycle_ns, ipc=1.0),
+            stats=machine.stats,
+            name="nxp.core",
+            decode_cache=self.cfg.decode_cache,
+            jit=self.cfg.jit_enabled,
+            jit_hot_threshold=self.cfg.jit_hot_threshold,
+            jit_max_superblock=self.cfg.jit_max_superblock,
+            trace=machine.trace,
+        )
+
+    def _execute(self, desc: MigrationDescriptor) -> Generator:
+        """Enter the thread on the NxP core and run it until it leaves."""
+        task = self.machine.kernel.task_by_pid(desc.pid)
+        self._switch_address_space(task, desc.cr3)
         cpu = self.cpu
+        if desc.is_call:
+            yield from cpu.setup_call(desc.target, desc.args, sp=desc.nxp_sp)
+        else:
+            if not task.nxp_context_stack:
+                raise ProcessCrash(task, "return descriptor with no suspended NxP context")
+            ctx = task.nxp_context_stack.pop()
+            cpu.regs.restore(ctx.regs)
+            # Simulated return from the (hijacked) JAL: pc <- ra,
+            # return value in a0.
+            cpu.pc = cpu.regs.read(cpu.abi.link_reg)
+            cpu.regs.write(cpu.abi.ret_reg, desc.retval)
+        # Execution until the thread leaves the NxP, inline (not a nested
+        # generator) so no extra frame sits on every instruction's resume.
         step = cpu.step
         stub_pcs = STUB_PCS
         while True:
@@ -333,6 +371,19 @@ class NxpPlatform:
                     task, f"nxp fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
                 )
 
+    def _switch_address_space(self, task: Task, cr3: int) -> None:
+        tables = task.process.page_tables
+        if cr3 and tables.cr3 != cr3:
+            raise ProcessCrash(task, f"descriptor CR3 {cr3:#x} != process CR3 {tables.cr3:#x}")
+        if self.current_tables is not tables:
+            self.current_tables = tables
+            self.port.flush_tlbs()
+            # Decodes and superblocks are keyed by virtual PC, and
+            # another address space may map other code at the same PCs:
+            # run on the incoming space's own caches.
+            self.cpu.switch_address_space(task.process.decode_caches, tables)
+            self.machine.stats.count("nxp.address_space_switch")
+
     # -- outbound migrations (Listing 2) ----------------------------------------------
 
     def _return_migration(self, task: Task, retval: int) -> Generator:
@@ -347,7 +398,7 @@ class NxpPlatform:
             cr3=task.process.cr3,
             nxp_sp=self.cpu.sp,
         )
-        yield from self._send_to_host(task, desc)
+        yield from self._send_to_host(desc)
         self.machine.trace.record("n2h_return", pid=task.pid)
         self.machine.trace.end("nxp_resident", pid=task.pid, exit="return")
 
@@ -372,45 +423,6 @@ class NxpPlatform:
             cr3=task.process.cr3,
             nxp_sp=self.cpu.sp,
         )
-        yield from self._send_to_host(task, desc)
+        yield from self._send_to_host(desc)
         self.machine.trace.record("n2h_call", pid=task.pid, target=target)
         self.machine.trace.end("nxp_resident", pid=task.pid, exit="call")
-
-    def _send_to_host(self, task: Task, desc: MigrationDescriptor) -> Generator:
-        if self.machine.hardened:
-            # Stamp the per-pid n2h sequence and remember the descriptor:
-            # if this answer (or its IRQ) is lost, the host's retransmit
-            # of the matching request replays it from the cache.  The
-            # counter is machine-wide (not per device) so replies stay
-            # monotonic per pid across the whole fleet.
-            seq = self.machine.n2h_seq.get(task.pid, 0) + 1
-            self.machine.n2h_seq[task.pid] = seq
-            desc.seq = seq
-            self._resp_cache[task.pid] = desc
-            self._resp_ready[task.pid] = True
-        yield from self._push_desc(task, desc)
-
-    def _push_desc(self, task: Task, desc: MigrationDescriptor) -> Generator:
-        cfg = self.cfg
-        if cfg.injected_migration_rt_ns:
-            # Prior-work overhead emulation (see host_runtime counterpart).
-            yield self.sim.timeout(cfg.injected_migration_rt_ns / 2.0)
-        dev = self._device
-        if self._staging is None:
-            # A small rotating pool so a burst in flight is never
-            # overwritten by the next outbound descriptor.
-            bram = self.machine.bram_phys if dev is None else dev.bram
-            self._staging = [
-                bram.alloc(DESCRIPTOR_BYTES, align=64) for _ in range(8)
-            ]
-            self._staging_idx = 0
-        buf = self._staging[self._staging_idx]
-        self._staging_idx = (self._staging_idx + 1) % len(self._staging)
-        self.machine.phys.write(buf, desc.pack())
-        yield self.sim.timeout(cfg.nxp_context_switch_ns)  # back to scheduler
-        yield self.sim.timeout(cfg.nxp_dma_kick_ns)
-        dma = self.machine.dma if dev is None else dev.dma
-        self.sim.spawn(
-            dma.push_to_host(buf, DESCRIPTOR_BYTES, pid=task.pid),
-            name=f"dma-n2h-{task.name}",
-        )

@@ -62,7 +62,7 @@ EVENT_CATEGORIES: Dict[str, str] = {
     "thread_start": "thread",
     "thread_done": "thread",
     "thread": "thread",
-    # protocol point events (host runtime / NxP platform / hosted twins)
+    # protocol point events (host and NxP migration handlers)
     "h2n_call_start": "protocol",
     "h2n_call_done": "protocol",
     "n2h_call": "protocol",

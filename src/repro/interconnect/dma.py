@@ -126,14 +126,12 @@ class DMAEngine:
         self.stats = stats or StatRegistry()
         self.trace = trace  # optional MigrationTrace for device-level spans
         self.injector = injector  # optional FaultInjector (None = unarmed)
-        #: MSI vector this engine raises on n2h delivery.  The single-NxP
-        #: machine keeps MIGRATION_VECTOR; a multi-NxP machine gives
-        #: device ``i`` the vector ``MIGRATION_VECTOR + i``.
+        #: MSI vector this engine raises on n2h delivery: device ``i``
+        #: raises ``MIGRATION_VECTOR + i``.
         self.vector = vector
-        #: index of the NxP device this engine serves — MIGRATION_VECTOR
-        #: is device 0's vector, so the offset recovers the index on
-        #: both single- and multi-NxP machines.  Used only to label
-        #: transfer spans when trace-context propagation is on.
+        #: index of the NxP device this engine serves (the vector
+        #: offset).  Used only to label transfer spans when
+        #: trace-context propagation is on.
         self.device_index = vector - MIGRATION_VECTOR
         self.nxp_inbound: Optional[DescriptorRing] = None
         self.host_inbound: Optional[DescriptorRing] = None
@@ -150,8 +148,7 @@ class DMAEngine:
 
     def register_mmio(self, mmio: MMIORegion, base: int = 0x00) -> None:
         """Register this engine's STATUS words.  ``base`` strides the
-        register pair for multi-NxP machines (device ``i`` at
-        ``i * 0x10``); the single-device map stays at 0x00/0x08."""
+        register pair per device (device ``i`` at ``i * 0x10``)."""
         mmio.register(base + 0x00, read=self._read_status)
         mmio.register(base + 0x08, read=self._read_host_status)
 

@@ -20,7 +20,6 @@ from typing import Dict, Generator, Optional
 from repro.core.config import FlickConfig
 from repro.core.descriptors import DESCRIPTOR_BYTES, MigrationDescriptor
 from repro.core.errors import DescriptorCorrupt, ProcessCrash
-from repro.interconnect.interrupt import MIGRATION_VECTOR
 from repro.memory.paging import PageFault
 from repro.os.task import Process, Task, TaskState
 from repro.sim.engine import Simulator
@@ -43,19 +42,14 @@ class Kernel:
         self.machine = machine
         self.processes: Dict[int, Process] = {}
         self.tasks: Dict[int, Task] = {}
-        if getattr(machine, "multi_nxp", False):
-            # One vector per device, each handler bound to that device's
-            # host inbound ring (descriptors from different devices land
-            # in different rings and must never be cross-drained).
-            for dev in machine.devices:
-                machine.irq.register(
-                    dev.vector,
-                    lambda payload, _ring=dev.host_ring: self._migration_irq(
-                        payload, ring=_ring
-                    ),
-                )
-        else:
-            machine.irq.register(MIGRATION_VECTOR, self._migration_irq)
+        # One vector per device, each handler bound to that device's
+        # host inbound ring (descriptors from different devices land in
+        # different rings and must never be cross-drained).
+        for dev in machine.devices:
+            machine.irq.register(
+                dev.vector,
+                lambda payload, _ring=dev.host_ring: self._migration_irq(payload, _ring),
+            )
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -103,19 +97,16 @@ class Kernel:
 
     # -- migration interrupt -------------------------------------------------------
 
-    def _migration_irq(self, _payload, ring=None) -> Generator:
+    def _migration_irq(self, _payload, ring) -> Generator:
         """Generator IRQ handler: find the thread by PID and wake it.
 
-        ``ring`` selects the inbound ring to service — a multi-NxP
-        machine passes each device's ring through a per-vector closure;
-        the single-NxP machine leaves it ``None`` (the machine ring).
+        ``ring`` is the raising device's host inbound ring, bound by the
+        per-vector closure.
         """
-        if getattr(self.machine, "hardened", False):
-            yield from self._migration_irq_hardened(ring=ring)
+        if self.machine.hardened:
+            yield from self._migration_irq_hardened(ring)
             return
         yield self.sim.timeout(self.cfg.host_irq_handler_ns)
-        if ring is None:
-            ring = self.machine.host_ring
         slot = ring.pop_addr()
         raw = self.machine.phys.read(slot, DESCRIPTOR_BYTES)
         desc = MigrationDescriptor.unpack(raw)
@@ -134,7 +125,7 @@ class Kernel:
 
         self.sim.spawn(waker(self.sim), name=f"wake-{task.name}")
 
-    def _migration_irq_hardened(self, ring=None) -> Generator:
+    def _migration_irq_hardened(self, ring) -> Generator:
         """Fault-tolerant IRQ path, taken only when faults are armed.
 
         Differences from the fast path, each tied to a fault mode:
@@ -153,8 +144,6 @@ class Kernel:
         """
         yield self.sim.timeout(self.cfg.host_irq_handler_ns)
         stats = self.machine.stats
-        if ring is None:
-            ring = self.machine.host_ring
         if not ring.pending:
             stats.count("kernel.spurious_irq")
             self.machine.trace.record("spurious_irq")

@@ -16,7 +16,6 @@ Performs what the paper's modified GLIBC dynamic linker does:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import LoadError
@@ -162,8 +161,9 @@ def load_executable(machine, exe: Executable, name: Optional[str] = None) -> Pro
         if seg.placement == "nxp" and seg.isa is None:
             # Annotated NxP-local data needs no host coherence (Section
             # III-D): the NxP D-cache may cache it.  The loader registers
-            # the cacheable window with the platform, as the paper's
-            # loader arranges for NxP-specific .data/.bss sections.
-            machine.nxp.port.cacheable.allow(paddr, span)
+            # the cacheable window with the machine, as the paper's
+            # loader arranges for NxP-specific .data/.bss sections; every
+            # device's memory port consults that one filter.
+            machine.nxp_cacheable.allow(paddr, span)
 
     return process

@@ -1,7 +1,6 @@
-"""Session placement for multi-NxP machines (docs/FLEET.md).
+"""Session placement across a machine's NxP devices (docs/FLEET.md).
 
-When a machine owns several NxP devices, every host→NxP migration
-*session* (the outermost ISA-crossing call, including any reentrant
+Every host→NxP migration *session* (the outermost ISA-crossing call, including any reentrant
 ladder it spawns) must be routed to exactly one device: descriptor
 sequence numbers, replay caches and the task's suspended NxP frames are
 all per-device state, so a session cannot straddle devices.  The
@@ -9,8 +8,8 @@ all per-device state, so a session cannot straddle devices.  The
 through a pluggable policy:
 
 ``static``
-    Always the lowest-indexed live device — the degenerate policy a
-    single-NxP machine implicitly uses; the baseline for ablations.
+    Always the lowest-indexed live device — the default, and the
+    baseline for ablations.
 ``round_robin``
     Cycle through live devices in index order.  Oblivious but fair;
     the default for fleet serving runs.
@@ -25,14 +24,14 @@ through a pluggable policy:
 
 Placement bookkeeping lives in a **sidecar** counter dict (like the JIT
 tier's) rather than the machine's :class:`StatRegistry`: the parity
-contract pins base stats bit-identical between single-NxP runs and the
-pre-fleet code, and multi-NxP observability must not create pressure to
-touch that snapshot.
+contract pins base stats bit-identical across fleet sizes (a two-device
+static fleet equals the paper's one-device machine), so placement
+observability must stay out of that snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
 __all__ = ["PlacementLayer", "PlacementPolicy", "POLICIES"]
 

@@ -2,18 +2,17 @@
 
 A :class:`Process` owns an address space (page tables, segment layout,
 per-region heap allocators).  A :class:`Task` is a schedulable thread
-with a saved host CPU context plus the Flick-specific fields the paper
-adds to ``task_struct``: the faulting target address, the migration
-flag (used to kick the DMA *after* the context switch away), and the
-thread's NxP stack pointer.
+plus the Flick-specific fields the paper adds to ``task_struct``: the
+thread's NxP stack, its suspended NxP contexts (one per nesting level)
+and the wake channel the migration ioctl sleeps on.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.memory.allocator import RegionAllocator
 from repro.memory.paging import PageTables
@@ -114,10 +113,7 @@ class Task:
         self.tid = next(_pid_counter)
         self.name = name or f"task{self.tid}"
         self.state = TaskState.READY
-        self.host_context: Optional[CpuContext] = None
         # Flick additions to task_struct (Section IV-B1 / IV-D):
-        self.faulting_target: Optional[int] = None
-        self.migration_pending: bool = False
         self.nxp_stack_base: Optional[int] = None  # None => never migrated
         self.nxp_sp: Optional[int] = None  # thread's current NxP stack pointer
         # NxP-side suspended contexts, one per nesting level (reentrancy).
@@ -125,17 +121,15 @@ class Task:
         # Wake channel: the ioctl sleeps here; the IRQ handler delivers
         # the inbound descriptor slot address.
         self.wake_event = None  # repro.sim.Event, armed by the ioctl
-        self.wake_payload: Optional[int] = None
         # Hardened-protocol bookkeeping (only advanced when faults are
         # armed): the highest inbound (n2h) sequence already delivered
         # to the ioctl.  The outbound counter is ``h2n_seq`` below — a
         # per-process value surfaced here because the ioctl works in
         # task terms.
         self.last_in_seq: int = 0
-        # Multi-NxP only: index of the device whose BRAM slice holds
-        # this task's NxP stack (the ``locality`` policy's affinity);
-        # None until the first migration, and always None on a
-        # single-NxP machine.
+        # Index of the device whose BRAM slice holds this task's NxP
+        # stack (the ``locality`` policy's affinity); None until the
+        # first migration.
         self.nxp_device: Optional[int] = None
 
     @property

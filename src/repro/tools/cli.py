@@ -703,7 +703,7 @@ def _cmd_chaos(args, out) -> int:
         WORKLOADS,
         render_verdicts,
         run_chaos_matrix,
-        run_multi_nxp_revive_case,
+        run_fleet_revive_case,
         run_overload_storm_case,
     )
     from repro.sim.faults import FaultPlan, builtin_plans
@@ -734,7 +734,7 @@ def _cmd_chaos(args, out) -> int:
         # admission + retry-budget under an overload storm, and the
         # breaker's kill-then-revive path (docs/ROBUSTNESS.md).
         results.append(run_overload_storm_case(seed=args.seed))
-        results.append(run_multi_nxp_revive_case())
+        results.append(run_fleet_revive_case())
     print(render_verdicts(results), file=out)
     bad = [r for r in results if not r.ok]
     return 1 if bad else 0

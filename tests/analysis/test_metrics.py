@@ -315,6 +315,9 @@ class TestPlacementSidecar:
         back = report_from_json(render_json(multi_report))
         assert back.placement == multi_report.placement
 
-    def test_single_nxp_report_has_no_placement(self, report):
-        assert report.placement == {}
-        assert "flick_placement" not in render_openmetrics(report)
+    def test_single_nxp_report_has_device_zero_placement(self, report):
+        # A one-device machine is a fleet of one: every session is
+        # placed on device 0, and the counters stay out of the stats.
+        assert set(report.placement) == {"placement.pick.dev0"}
+        assert all(not k.startswith("placement.") for k in report.stats)
+        assert "flick_placement_pick_dev0_total" in render_openmetrics(report)

@@ -120,7 +120,7 @@ class TestEmptyPlanParity:
     def test_empty_plan_machine_is_not_hardened(self):
         machine = FlickMachine(FaultPlan().apply(DEFAULT_CONFIG))
         assert machine.injector is None
-        assert machine.health is None
+        assert machine.devices[0].health is None
         assert not machine.hardened
 
 

@@ -207,7 +207,7 @@ class TestTypedErrorBackCompat:
 
     def test_ring_overflow_raised_after_capacity(self):
         machine = FlickMachine()
-        ring = machine.nxp_ring
+        ring = machine.devices[0].nxp_ring
         with pytest.raises(RingOverflow):
             for _ in range(ring.slots + 1):
                 ring.claim_addr()
@@ -215,7 +215,7 @@ class TestTypedErrorBackCompat:
     def test_ring_underflow_on_empty_pop(self):
         machine = FlickMachine()
         with pytest.raises(RingUnderflow):
-            machine.nxp_ring.pop_addr()
+            machine.devices[0].nxp_ring.pop_addr()
 
     def test_vector_collision(self):
         machine = FlickMachine()

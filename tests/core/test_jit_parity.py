@@ -80,7 +80,7 @@ class TestInterpretedParity:
         assert on == off
         # The hot loop lives on the NxP core: its engine, not the host's,
         # must have compiled and executed the trace.
-        nxp_engine = on_machine.nxp.cpu._jit
+        nxp_engine = on_machine.devices[0].platform.cpu._jit
         assert nxp_engine is not None
         assert nxp_engine.compiled_blocks > 0
         assert nxp_engine.block_exec_total > 0
@@ -106,7 +106,7 @@ func main(n) {{ return work(n); }}
         on_machine, on = _run(source, [5], cfg)
         _, off = _run(source, [5], cfg.with_overrides(jit_enabled=False))
         assert on == off
-        assert on_machine.nxp.cpu._jit.bailouts["itlb"] > 0
+        assert on_machine.devices[0].platform.cpu._jit.bailouts["itlb"] > 0
 
     def test_against_all_slow(self):
         _, on = _run(COMPUTE_LOOP, [200], JIT_ON)
@@ -139,7 +139,7 @@ class TestArmedQuietPlanParity:
         on_machine, on = _run(NXP_LOOP, [120], QUIET_PLAN.apply(JIT_ON))
         _, off = _run(NXP_LOOP, [120], QUIET_PLAN.apply(JIT_OFF))
         assert on == off
-        assert on_machine.nxp.cpu._jit.compiled_blocks > 0
+        assert on_machine.devices[0].platform.cpu._jit.compiled_blocks > 0
 
 
 class TestPooledProcesses:
@@ -169,7 +169,7 @@ class TestPooledProcesses:
         machine, a, b = pooled_machine(JIT_ON)
         for process in (a, b):
             serve(machine, process)
-        engine = machine.nxp.cpu._jit
+        engine = machine.devices[0].platform.cpu._jit
         _, b_blocks, _ = engine._spaces[b.page_tables]
         b_before = dict(b_blocks)
         compiled = engine.compiled_blocks

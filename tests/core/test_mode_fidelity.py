@@ -10,6 +10,9 @@ evidence that the hosted sweeps measure the same machine.
 import pytest
 
 from repro import FlickMachine
+from repro.core.config import DEFAULT_CONFIG
+from repro.core.hosted import HostedMachine, HostedProgram
+from repro.sim.faults import builtin_plans
 from repro.workloads.pointer_chase import run_pointer_chase
 
 TRAVERSE_SRC = """
@@ -112,3 +115,90 @@ class TestModeFidelity:
         assert 10 <= per_node_insts <= 35  # the naive stack codegen
         # ... and it explains the timing gap: also check both deltas agree.
         assert counts[138] - counts[74] == counts[74] - counts[10]
+
+
+# -- interpreted <-> hosted protocol differential ---------------------------
+
+NESTED_SRC = """
+@nxp func inner(x) { return x * 10; }
+func host_mid(x) { return inner(x) + 1; }
+@nxp func dev(x) { return host_mid(x) + 100; }
+func main(n) {
+    var i = 0;
+    var acc = 0;
+    while (i < n) { acc = acc + dev(i); i = i + 1; }
+    return acc;
+}
+"""
+NESTED_CALLS = 3
+
+#: The protocol's trace vocabulary: what either executor must emit, in
+#: the same order, for the same fault schedule.  ``degraded_n2h_call``
+#: is left out: it marks the interpreted fallback *body* calling a host
+#: function inline, which a hosted fallback body does as a plain call.
+PROTOCOL_EVENTS = ("h2n_call_", "dma_h2n", "nxp_dispatch_", "n2h_", "retry",
+                   "watchdog_trip", "replay", "degraded_call", "degraded_done",
+                   "irq", "task_wake", "fault_inject")
+PROTOCOL_STATS = ("migration.", "kernel.", "degraded.", "fault.")
+
+#: Every chaos-matrix plan that fires a bounded number of times (the
+#: overload storm and the flapping device are open-ended load shapes).
+DIFFERENTIAL_PLANS = [
+    plan for name, plan in builtin_plans().items()
+    if name not in ("overload-storm", "flapping-device")
+]
+
+
+def _nested_hosted_program() -> HostedProgram:
+    prog = HostedProgram()
+
+    @prog.nxp()
+    def inner(ctx, x):
+        return x * 10
+        yield
+
+    @prog.host()
+    def host_mid(ctx, x):
+        return (yield from ctx.call("inner", x)) + 1
+
+    @prog.nxp()
+    def dev(ctx, x):
+        return (yield from ctx.call("host_mid", x)) + 100
+
+    @prog.host()
+    def main(ctx, n):
+        acc = 0
+        for i in range(n):
+            acc += yield from ctx.call("dev", i)
+        return acc
+
+    return prog
+
+
+def _protocol_view(machine, retval):
+    names = [
+        e.name for e in machine.trace.events if e.name.startswith(PROTOCOL_EVENTS)
+    ]
+    stats = {
+        k: v for k, v in machine.stats.snapshot().items()
+        if k.startswith(PROTOCOL_STATS)
+    }
+    return retval, names, stats
+
+
+class TestProtocolDifferential:
+    """Both executors drive the one protocol: under every bounded chaos
+    plan they emit the same protocol events in the same order and count
+    the same protocol stats (only body timing differs)."""
+
+    @pytest.mark.parametrize("plan", DIFFERENTIAL_PLANS, ids=lambda p: p.name)
+    def test_engines_agree(self, plan):
+        cfg = plan.apply(DEFAULT_CONFIG).with_overrides(migration_watchdog_ns=200_000.0)
+        machine = FlickMachine(cfg)
+        interpreted = machine.run_program(NESTED_SRC, args=[NESTED_CALLS])
+        hosted = HostedMachine(_nested_hosted_program(), cfg=cfg)
+        out = hosted.run("main", [NESTED_CALLS])
+        assert interpreted.retval == out.retval == 333
+        assert _protocol_view(machine, interpreted.retval) == _protocol_view(
+            hosted.machine, out.retval
+        )

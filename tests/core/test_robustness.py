@@ -24,7 +24,7 @@ Five invariants anchor the robustness layer:
 import pytest
 
 from repro.analysis.chaos import (
-    run_multi_nxp_revive_case,
+    run_fleet_revive_case,
     run_overload_storm_case,
 )
 from repro.analysis.serving import TrafficConfig, run_serving, sweep_latency_vs_load
@@ -320,6 +320,45 @@ class TestKillThenRevive:
         assert serial.post_revival_sessions == pooled.post_revival_sessions
 
     def test_chaos_revive_case_recovers(self):
-        result = run_multi_nxp_revive_case()
+        result = run_fleet_revive_case()
         assert result.verdict == "recovered"
         assert "revived" in result.detail
+
+
+class TestOneProtocolRules:
+    """Fleet rules that hold on every machine, a fleet of one included."""
+
+    def test_brownout_queue_full_counts_the_picked_devices_sessions(self):
+        # One device, admission limit 2: a call browns out once the
+        # device already has two sessions in flight.
+        result = run_serving(
+            TrafficConfig(
+                scenario="null_call", arrival="poisson", qps=60_000, requests=200,
+                seed=3, admission_limit=2, brownout=True,
+            )
+        )
+        assert result.errors == 0 and result.shed == 0
+        assert result.degraded_calls == result.brownout_calls == 201
+
+    def test_leg_stops_retrying_once_another_leg_latched_dead(self):
+        # The device hangs on the first descriptor.  Task a's leg
+        # exhausts its retries and latches DEAD; task b, started 1.2 ms
+        # later, gives up at its next watchdog trip instead of retrying
+        # against known-dead silicon (7 trips, not 8).
+        cfg = FlickConfig(faults=(FaultRule("nxp_hang", nth=1),), nxp_dead_threshold=1)
+        machine = FlickMachine(cfg)
+        exe = machine.compile("""
+        @nxp func bump(x) { return x + 3; }
+        func main(x) { return bump(x); }
+        """)
+        threads = [machine.spawn(machine.load(exe, name="a"), args=[1])]
+
+        def later(sim):
+            yield sim.timeout(1_200_000.0)
+            threads.append(machine.spawn(machine.load(exe, name="b"), args=[2]))
+
+        machine.sim.spawn(later(machine.sim), name="later")
+        machine.run()
+        assert [t.result for t in threads] == [4, 5]
+        assert machine.stats.get("degraded.calls") == 2
+        assert machine.stats.get("migration.watchdog_trip") == 7

@@ -72,7 +72,6 @@ class TestTaskStruct:
         assert task.state is TaskState.READY
         assert task.nxp_stack_base is None  # never migrated yet
         assert task.nxp_sp is None
-        assert task.migration_pending is False
         assert task.nxp_context_stack == []
 
     def test_unique_ids(self, machine_with_process):
