@@ -38,7 +38,7 @@ the machine has no wall-clock inputs — a matrix run is replayable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import DEFAULT_CONFIG, FlickConfig
 from repro.core.errors import ProcessCrash, WorkloadHung
@@ -112,11 +112,20 @@ class _Probe:
     crash: Optional[ProcessCrash] = None
 
 
-def _run_null_call(cfg: FlickConfig, bound_ns: float) -> _Probe:
-    """Interpreted mode: a loop of NISA migrations accumulating state."""
+def _bounded_null_call(
+    cfg: FlickConfig,
+    bound_ns: float,
+    iters: int = NULL_CALL_ITERS,
+    chaos: Optional[Callable[[FlickMachine], Generator]] = None,
+) -> Tuple[_Probe, FlickMachine]:
+    """Run ``NULL_CALL_SRC`` for ``iters`` calls up to the sim-time bound,
+    with ``chaos(machine)`` spawned alongside when given; returns the
+    probe and the finished machine."""
     machine = FlickMachine(cfg)
     process = machine.load(machine.compile(NULL_CALL_SRC))
-    thread = machine.spawn(process, args=[NULL_CALL_ITERS])
+    thread = machine.spawn(process, args=[iters])
+    if chaos is not None:
+        machine.sim.spawn(chaos(machine), name="chaos")
     crash = None
     try:
         machine.sim.run(until=bound_ns)
@@ -131,16 +140,21 @@ def _run_null_call(cfg: FlickConfig, bound_ns: float) -> _Probe:
         else:
             raise
     done = thread.task.state.value == "done"
-    retval = signed_retval(thread.result) if done else None
     stats = machine.stats.snapshot()
-    return _Probe(
-        retval=retval,
+    probe = _Probe(
+        retval=signed_retval(thread.result) if done else None,
         done=done,
         sim_ns=thread.finished_at if thread.finished_at is not None else machine.sim.now,
         degraded_calls=int(stats.get("degraded.calls", 0)),
         faults_fired=machine.injector.fired_total if machine.injector else 0,
         crash=crash,
     )
+    return probe, machine
+
+
+def _run_null_call(cfg: FlickConfig, bound_ns: float) -> _Probe:
+    """Interpreted mode: a loop of NISA migrations accumulating state."""
+    return _bounded_null_call(cfg, bound_ns)[0]
 
 
 def _chase_program() -> HostedProgram:
@@ -316,35 +330,12 @@ def run_fleet_kill_case(
         migration_retry_limit=1,
         nxp_dead_threshold=1,
     )
-    machine = FlickMachine(run_cfg)
-    process = machine.load(machine.compile(NULL_CALL_SRC))
-    thread = machine.spawn(process, args=[NULL_CALL_ITERS])
 
-    def _killer(sim):
-        yield sim.timeout(kill_at_ns)
+    def _killer(machine):
+        yield machine.sim.timeout(kill_at_ns)
         machine.kill_nxp(kill_device, mode=kill_mode)
 
-    machine.sim.spawn(_killer(machine.sim), name="chaos-killer")
-    crash = None
-    try:
-        machine.sim.run(until=bound_ns)
-    except Deadlock:
-        pass
-    except SimulationError as exc:
-        if isinstance(exc.__cause__, ProcessCrash):
-            crash = exc.__cause__
-        else:
-            raise
-    done = thread.task.state.value == "done"
-    stats = machine.stats.snapshot()
-    probe = _Probe(
-        retval=signed_retval(thread.result) if done else None,
-        done=done,
-        sim_ns=thread.finished_at if thread.finished_at is not None else machine.sim.now,
-        degraded_calls=int(stats.get("degraded.calls", 0)),
-        faults_fired=machine.injector.fired_total if machine.injector else 0,
-        crash=crash,
-    )
+    probe = _bounded_null_call(run_cfg, bound_ns, chaos=_killer)[0]
     expected = NULL_CALL_ITERS * 3
     verdict, detail = _classify(probe, expected)
     return ChaosResult(
@@ -476,42 +467,20 @@ def run_fleet_revive_case(
         nxp_dead_threshold=1,
         nxp_recovery=True,
     )
-    machine = FlickMachine(run_cfg)
-    process = machine.load(machine.compile(NULL_CALL_SRC))
-    thread = machine.spawn(process, args=[iters])
     sessions_at_revive: Dict[int, int] = {}
 
-    def _chaos(sim):
-        yield sim.timeout(kill_at_ns)
+    def _kill_revive(machine):
+        yield machine.sim.timeout(kill_at_ns)
         machine.kill_nxp(kill_device, mode="abrupt")
-        yield sim.timeout(revive_at_ns - kill_at_ns)
+        yield machine.sim.timeout(revive_at_ns - kill_at_ns)
         sessions_at_revive.update(machine.placement.session_counts())
         machine.revive_nxp(kill_device)
 
-    machine.sim.spawn(_chaos(machine.sim), name="chaos-kill-revive")
-    crash = None
-    try:
-        machine.sim.run(until=bound_ns)
-    except Deadlock:
-        pass
-    except SimulationError as exc:
-        if isinstance(exc.__cause__, ProcessCrash):
-            crash = exc.__cause__
-        else:
-            raise
-    done = thread.task.state.value == "done"
-    stats = machine.stats.snapshot()
-    probe = _Probe(
-        retval=signed_retval(thread.result) if done else None,
-        done=done,
-        sim_ns=thread.finished_at if thread.finished_at is not None else machine.sim.now,
-        degraded_calls=int(stats.get("degraded.calls", 0)),
-        faults_fired=machine.injector.fired_total if machine.injector else 0,
-        crash=crash,
-    )
+    probe, machine = _bounded_null_call(run_cfg, bound_ns, iters=iters, chaos=_kill_revive)
     expected = iters * 3
     verdict, detail = _classify(probe, expected)
     if verdict in ("survived", "degraded"):
+        stats = machine.stats.snapshot()
         revived = int(stats.get("nxp.revived", 0))
         served_after = (
             machine.placement.session_counts().get(kill_device, 0)

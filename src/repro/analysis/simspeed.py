@@ -251,7 +251,7 @@ def measure_hosted_batching(
     from dataclasses import replace
 
     batched_cfg = FlickConfig()
-    unbatched_cfg = replace(batched_cfg, hosted_batch_ops=False)
+    unbatched_cfg = replace(batched_cfg, hosted_batch_size=1)
     batched = unbatched = None
     wall_batched = wall_unbatched = float("inf")
     for _ in range(max(1, repeats)):

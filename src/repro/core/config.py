@@ -92,7 +92,6 @@ class FlickConfig:
     # ---- raw memory / interconnect latencies (Section V) ----------------
     host_dram_ns: float = 90.0           # host core -> host DRAM (random)
     host_cached_mem_ns: float = 4.0      # host load/store, cache-filtered avg
-    host_ifetch_ns: float = 0.0          # host fetch (perfect I-cache model)
     nxp_to_local_write_ns: float = 240.0  # NxP posted write to local DRAM
     nxp_local_dram_ns: float = 225.0     # NxP DRAM service time (no TLB)
     nxp_bram_ns: float = 10.0            # NxP on-chip stack BRAM
@@ -107,7 +106,6 @@ class FlickConfig:
     # ---- TLB / MMU -------------------------------------------------------
     tlb_entries: int = 16                # per I-TLB and D-TLB (Section IV-A)
     tlb_hit_ns: float = 5.0              # one NxP cycle
-    mmu_walk_levels: int = 4             # x86-64 4-level tables
     mmu_walk_step_ns: float = 830.0      # one PT read across PCIe (per level)
     mmu_walker_overhead_ns: float = 400.0  # MicroBlaze firmware per walk
 
@@ -137,7 +135,6 @@ class FlickConfig:
     nxp_poll_period_ns: float = 600.0      # DMA status-register poll loop
     nxp_sched_dispatch_ns: float = 650.0   # read descriptor, pick thread
     nxp_context_switch_ns: float = 900.0   # switch to/from thread stack
-    nxp_call_dispatch_ns: float = 250.0    # handler calling target fn
     nxp_fault_entry_ns: float = 500.0      # NxP exception -> migration handler
     nxp_desc_build_ns: float = 450.0       # pack NxP->host descriptor
     nxp_dma_kick_ns: float = 200.0         # NxP scheduler DMA trigger
@@ -150,8 +147,8 @@ class FlickConfig:
     descriptor_bytes: int = 128            # one burst carries a descriptor
 
     # ---- placement sizes ---------------------------------------------------
+    # The host stack is one 2 MB page (repro.os.loader.HOST_STACK_BYTES).
     nxp_stack_bytes: int = 64 * KB
-    host_stack_bytes: int = 1 * MB
 
     # ---- host topology -----------------------------------------------------
     # Host cores in the scheduler pool.  The paper's machine has more,
@@ -224,13 +221,12 @@ class FlickConfig:
 
     # ---- hosted-mode op batching (docs/PERFORMANCE.md) ---------------------
     # Hosted bodies may issue runs of timed ops between yield points;
-    # ``hosted_batch_ops`` lets those runs collapse into one consolidated
-    # timed yield of up to ``hosted_batch_size`` ops.  Batching is pinned
-    # bit-identical to the per-op path (retval, simulated ns, stat
-    # counters) by tests/core/test_hosted_batching.py; only the DES
-    # event count changes (one timed event per batch instead of per
-    # flush-threshold crossing).
-    hosted_batch_ops: bool = True      # collapse same-run hosted ops
+    # those runs collapse into one consolidated timed yield of up to
+    # ``hosted_batch_size`` ops, and 1 selects the per-op reference path.
+    # Batching is pinned bit-identical to the per-op path (retval,
+    # simulated ns, stat counters) by tests/core/test_hosted_batching.py;
+    # only the DES event count changes (one timed event per batch instead
+    # of per flush-threshold crossing).
     hosted_batch_size: int = 256       # max ops per consolidated yield
 
     # ---- fault injection + hardened migration (docs/ROBUSTNESS.md) ---------

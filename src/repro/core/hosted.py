@@ -138,10 +138,9 @@ class HostedContext:
         self._anchor: float = self._sim.now
         self._charged_fs: int = 0
         self._flushed_fs: int = 0
-        cfg = self.cfg
         #: ops per consolidated run in the hosted workload bodies
         #: (1 disables batching: one boundary check per op).
-        self.batch_ops: int = cfg.hosted_batch_size if cfg.hosted_batch_ops else 1
+        self.batch_ops: int = self.cfg.hosted_batch_size
         #: The _HostedNxpEngine running this nxp-side body, so nested
         #: calls stay on the session's device; None on host-side contexts.
         self.engine = None
@@ -504,8 +503,10 @@ class HostedMachine:
             # callees run natively on this (host) core — the NxP is
             # dead, so nothing ever migrates to it.
             ctx.compute(6)
-            side = "fallback" if fn.isa == "nisa" else "host"
-            return (yield from self.run_body(fn, args, side))
+            if fn.isa == "nisa":
+                return (yield from self.run_body(fn, args, "fallback"))
+            self.machine.trace.record("degraded_n2h_call", pid=self._task.pid, target=fn.addr)
+            return (yield from self.run_body(fn, args, "host"))
         same_side = (fn.isa == "hisa") == (ctx.side == "host")
         if same_side:
             ctx.compute(6)  # plain call/ret overhead

@@ -147,33 +147,25 @@ class HostMemoryPort:
 
     def fetch(self, vaddr: int, nbytes: int) -> Generator:
         delta, _writable, nx = self.tcache.entry(vaddr)
-        if nx:
+        if nx != self.exec_nx_sense:
             # The Flick trigger: host fetched NxP-ISA (or data) pages.
             raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        if self.cfg.host_ifetch_ns:
-            yield self.sim.timeout(self.cfg.host_ifetch_ns)
         return self.phys.read(vaddr + delta, nbytes)
+        yield  # a port generator like the others; the host I-fetch is free
 
     def fetch_check(self, vaddr: int, nbytes: int) -> Generator:
         """Charge exactly what :meth:`fetch` charges — same faults, same
         timed yields, same stats — without reading the bytes.  Used by
         the decoded-instruction cache to keep fetch timing and NX
         semantics bit-identical while skipping re-decode."""
-        _delta, _writable, nx = self.tcache.entry(vaddr)
-        if nx:
-            raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        if self.cfg.host_ifetch_ns:
-            yield self.sim.timeout(self.cfg.host_ifetch_ns)
+        self.fetch_check_sync(vaddr, nbytes)
+        return
+        yield
 
     def fetch_check_sync(self, vaddr: int, nbytes: int) -> bool:
-        """Synchronous :meth:`fetch_check`: performs the full check and
-        returns True when no simulated time is due (the default host
-        model has a free I-fetch), else returns False having done
-        nothing so the caller falls back to the generator path."""
-        if self.cfg.host_ifetch_ns:
-            return False
-        _delta, _writable, nx = self.tcache.entry(vaddr)
-        if nx:
+        """Synchronous :meth:`fetch_check`: the host I-fetch charges no
+        simulated time, so the full check always completes here (True)."""
+        if self.tcache.entry(vaddr)[2] != self.exec_nx_sense:
             raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
         return True
 
@@ -214,39 +206,22 @@ class FallbackMemoryPort(HostMemoryPort):
     fetch path must apply the **inverted** NX sense the NxP MMU would
     (Section IV-B2): NX-set pages hold NISA code and execute normally,
     NX-clear pages are host code and fault — which the fallback loop
-    turns into a nested host call.  Data accesses are unchanged from the
-    host port; NxP-resident data (BRAM stack, BAR0 windows) is reached
-    over PCIe at host cost, which is part of the degradation penalty.
+    turns into a nested host call.  The host port's fetch methods check
+    against :attr:`exec_nx_sense`, so flipping it is the whole
+    difference.  Data accesses are unchanged from the host port;
+    NxP-resident data (BRAM stack, BAR0 windows) is reached over PCIe
+    at host cost, which is part of the degradation penalty.
     """
 
     exec_nx_sense = True  # inverted: NX-set pages are the executable ones
 
-    def fetch(self, vaddr: int, nbytes: int) -> Generator:
-        delta, _writable, nx = self.tcache.entry(vaddr)
-        if not nx:
-            raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        if self.cfg.host_ifetch_ns:
-            yield self.sim.timeout(self.cfg.host_ifetch_ns)
-        return self.phys.read(vaddr + delta, nbytes)
-
-    def fetch_check(self, vaddr: int, nbytes: int) -> Generator:
-        _delta, _writable, nx = self.tcache.entry(vaddr)
-        if not nx:
-            raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        if self.cfg.host_ifetch_ns:
-            yield self.sim.timeout(self.cfg.host_ifetch_ns)
-
-    def fetch_check_sync(self, vaddr: int, nbytes: int) -> bool:
-        if self.cfg.host_ifetch_ns:
-            return False
-        _delta, _writable, nx = self.tcache.entry(vaddr)
-        if not nx:
-            raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        return True
-
 
 class NxpMemoryPort:
     """The NxP core's memory pipeline: TLBs + walker + caches + routing."""
+
+    #: Inverted NX sense (Section IV-B2): NX-set pages hold NISA code and
+    #: execute here; the I-TLB path enforces it per fetch.
+    exec_nx_sense = True
 
     def __init__(
         self,

@@ -13,29 +13,30 @@ This module adds a third execution tier above the decode cache:
    keyed by the branch *target* (the natural loop header).  When a
    target crosses ``jit_hot_threshold`` it is compiled.
 2. **Superblock compilation** — starting at the hot entry PC, code is
-   decoded *statically* through the pure translation path (page tables /
-   translation cache, no simulated time, no stats) into a flat micro-op
-   list: closures over pre-decoded operands for ALU/branch work, and
-   inline fast-route handlers for memory accesses (host loads, stores
-   and PUSH/POP stack traffic; NxP BRAM/local-window loads and stores).
-   A trace is one-entry/multi-exit:
+   decoded *statically* through the page tables (no simulated time, no
+   stats) into a flat micro-op list: closures over pre-decoded operands
+   for ALU/branch work, and inline fast-route handlers for memory
+   accesses (host loads, stores and PUSH/POP stack traffic; NxP
+   BRAM/local-window loads and stores).  A trace is one-entry/multi-exit:
    conditional branches become guards whose taken edge restarts the
    loop (target == entry), jumps *within* the decoded region (the
    boolean-materialization pattern the compiler emits), or exits with a
    precise PC.  Compilation stops at anything the compiled form cannot
    express — calls/returns/indirect jumps, ECALL/HALT, NX-sense
    mismatches, unmapped pages, ``jit_max_superblock``.
-3. **Execution** — the executor replays the interpreter's *exact*
-   sequence of timed pauses arithmetically on a local accumulator
-   (bit-identical float adds, in order), flushing with one exact
-   ``sleep_until`` per loop iteration / region exit and crediting the
-   collapsed pauses to :meth:`Simulator.credit_events`.  Stat counters
-   are bumped through the same Counter objects the slow path uses.
-   Anything unexpected — page fault, write-protect, IsaFault, TLB miss,
-   I-cache miss, cross-PCIe route, code-generation change — either runs
-   through the port's own engine path (slow memory routes) or bails out
-   to the interpreter at a precise architectural state (``itp.pc`` at
-   the faulting/next instruction, time flushed, counters settled).
+3. **Execution** — one executor for both cores replays the
+   interpreter's *exact* sequence of timed pauses arithmetically on a
+   local accumulator (bit-identical float adds, in order), flushing
+   with one exact ``sleep_until`` per loop iteration / region exit and
+   crediting the collapsed pauses to :meth:`Simulator.credit_events`.
+   Only the I-fetch differs per core (see :meth:`JitEngine.execute`).
+   Stat counters are bumped through the same Counter objects the slow
+   path uses.  Anything unexpected — page fault, write-protect,
+   IsaFault, TLB miss, I-cache miss, cross-PCIe route, code-generation
+   change — either runs through the port's own engine path (slow memory
+   routes) or bails out to the interpreter at a precise architectural
+   state (``itp.pc`` at the faulting/next instruction, time flushed,
+   counters settled).
 
 Invalidation reuses the decoded-instruction-cache contract: every block
 records the port ``code_generation`` it was compiled under, and the
@@ -71,16 +72,17 @@ from repro.memory.paging import PageFault
 
 __all__ = ["JitEngine", "Superblock", "BAILOUT_REASONS"]
 
-# Micro-op kinds (tuple slot 0).
+# Micro-op kinds (tuple slot 0).  Host PUSH compiles to K_HSTORE with
+# an address function that moves SP first; POP is a load that then
+# bumps SP.
 K_SIMPLE = 0  # (K, pc, cost_ns, fn | None)
 K_GUARD = 1  # (K, pc, cost_ns, cond_fn, taken_pc, taken_idx)
 K_LOOP = 2  # (K, pc, cost_ns, None) — close the loop back to entry
 K_HLOAD = 3  # (K, pc, cost_ns, addr_fn, size, rd, next_pc)
 K_HSTORE = 4  # (K, pc, cost_ns, addr_fn, size, value_fn, next_pc)
-K_PUSH = 5  # (K, pc, cost_ns, rd, next_pc)
-K_POP = 6  # (K, pc, cost_ns, rd, next_pc)
-K_NLOAD = 7  # (K, pc, cost_ns, addr_fn, size, rd, next_pc)
-K_NSTORE = 8  # (K, pc, cost_ns, addr_fn, size, value_fn, next_pc)
+K_POP = 5  # (K, pc, cost_ns, addr_fn, 8, rd, next_pc)
+K_NLOAD = 6  # (K, pc, cost_ns, addr_fn, size, rd, next_pc)
+K_NSTORE = 7  # (K, pc, cost_ns, addr_fn, size, value_fn, next_pc)
 
 # K_GUARD taken_idx sentinels (taken_idx >= 0 is an intra-trace index).
 LOOP_RESTART = -1
@@ -169,16 +171,13 @@ class JitEngine:
         """Build an engine for ``itp`` if its port supports the tier.
 
         Host-style ports (translation cache + synchronous physical
-        memory, free I-fetch) get the hoisted-fetch executor; the NxP
-        port gets the per-instruction TLB/I-cache replay executor.
-        Ports without either contract (e.g. the tests' FlatPort) — or a
-        host model with a non-zero I-fetch latency, which the hoisted
-        executor cannot replay — run without a JIT.
+        memory, free I-fetch) run superblocks with the I-fetch hoisted;
+        on the NxP port :meth:`execute` replays the I-TLB/I-cache per
+        instruction.  Ports without either contract (e.g. the tests'
+        FlatPort) run without a JIT.
         """
         port = itp.port
         if hasattr(port, "tcache") and hasattr(port, "phys"):
-            if getattr(port.cfg, "host_ifetch_ns", 0.0):
-                return None
             return JitEngine(itp, "host", hot_threshold, max_superblock, trace)
         if hasattr(port, "itlb") and hasattr(port, "icache"):
             return JitEngine(itp, "nxp", hot_threshold, max_superblock, trace)
@@ -242,39 +241,27 @@ class JitEngine:
     # -- compilation -------------------------------------------------------
 
     def _code_bytes(self, pc: int, nbytes: int) -> Optional[bytes]:
-        """Read instruction bytes through the *pure* translation path —
-        no simulated time, no stats — validating the port's NX fetch
-        sense per page.  None when any byte is unmapped or on the wrong
-        side of the NX fence (the trace simply ends before it)."""
+        """Read instruction bytes through the page tables — no simulated
+        time, no stats — checking each page's NX bit against the port's
+        fetch sense.  None when any byte is unmapped or on the wrong side
+        of the NX fence (the trace simply ends before it)."""
         port = self.itp.port
+        if self.style == "host":
+            tables = port.tables
+        else:
+            tables = port.tables_provider() if port.tables_provider is not None else None
+        if tables is None:
+            return None
+        sense = port.exec_nx_sense
         out = b""
         addr = pc
         remaining = nbytes
-        if self.style == "host":
-            sense = port.exec_nx_sense
-            tcache = port.tcache
-            phys = port.phys
-            while remaining:
-                try:
-                    delta, _writable, nx = tcache.entry(addr)
-                except PageFault:
-                    return None
-                if nx != sense:
-                    return None
-                take = min(remaining, 4096 - (addr & 4095))
-                out += phys.read(addr + delta, take)
-                addr += take
-                remaining -= take
-            return out
-        tables = port.tables_provider() if port.tables_provider is not None else None
-        if tables is None:
-            return None
         while remaining:
             try:
                 tr = tables.translate(addr)
             except PageFault:
                 return None
-            if not tr.nx:  # inverted sense: NX-set pages hold NISA code
+            if tr.nx != sense:
                 return None
             take = min(remaining, 4096 - (addr & 4095))
             out += port.phys.read(tr.paddr, take)
@@ -341,6 +328,7 @@ class JitEngine:
         cost_ns = itp.cost.cost_ns
         zero_reg = itp.abi.zero_reg
         host_mem = self.style == "host"
+        load_kind, store_kind = (K_HLOAD, K_HSTORE) if host_mem else (K_NLOAD, K_NSTORE)
 
         ops: List[list] = []  # mutable while guard targets resolve
         index_of: Dict[int, int] = {}  # decoded pc -> op index
@@ -397,37 +385,27 @@ class JitEngine:
                 pc = target
                 continue
             if op in _SIZED_LOADS or op in _SIZED_STORES or op is Op.PUSH or op is Op.POP:
-                if not host_mem:
-                    if op is Op.PUSH or op is Op.POP:
-                        # The NISA compiler spills through LD/ST, never
-                        # PUSH/POP; no replay handler for them here.
-                        exit_pc = pc
-                        break
-                    index_of[pc] = len(ops)
-                    addr_fn = self._compile_addr(inst)
-                    if op in _SIZED_LOADS:
-                        ops.append(
-                            [K_NLOAD, pc, cost, addr_fn, _SIZED_LOADS[op], inst.rd, nxt]
-                        )
-                    else:
-                        size = _SIZED_STORES[op]
-                        value_fn = self._compile_store_value(inst, size)
-                        ops.append([K_NSTORE, pc, cost, addr_fn, size, value_fn, nxt])
-                    pc = nxt
-                    continue
+                if not host_mem and (op is Op.PUSH or op is Op.POP):
+                    # The NISA compiler spills through LD/ST, never
+                    # PUSH/POP; no replay handler for them here.
+                    exit_pc = pc
+                    break
                 index_of[pc] = len(ops)
                 if op is Op.PUSH:
-                    ops.append([K_PUSH, pc, cost, inst.rd, nxt])
+                    addr_fn = self._compile_stack_addr(True)
+                    value_fn = self._compile_store_value(inst.rd, 8)
+                    ops.append([K_HSTORE, pc, cost, addr_fn, 8, value_fn, nxt])
                 elif op is Op.POP:
-                    ops.append([K_POP, pc, cost, inst.rd, nxt])
+                    addr_fn = self._compile_stack_addr(False)
+                    ops.append([K_POP, pc, cost, addr_fn, 8, inst.rd, nxt])
                 elif op in _SIZED_LOADS:
                     addr_fn = self._compile_addr(inst)
-                    ops.append([K_HLOAD, pc, cost, addr_fn, _SIZED_LOADS[op], inst.rd, nxt])
+                    ops.append([load_kind, pc, cost, addr_fn, _SIZED_LOADS[op], inst.rd, nxt])
                 else:
                     size = _SIZED_STORES[op]
                     addr_fn = self._compile_addr(inst)
-                    value_fn = self._compile_store_value(inst, size)
-                    ops.append([K_HSTORE, pc, cost, addr_fn, size, value_fn, nxt])
+                    value_fn = self._compile_store_value(inst.rs2, size)
+                    ops.append([store_kind, pc, cost, addr_fn, size, value_fn, nxt])
                 pc = nxt
                 continue
             fn = self._compile_sync(inst, pc)
@@ -480,11 +458,28 @@ class JitEngine:
             return lambda: (r(rs1) + imm) & MASK64
         return lambda: r(rs1) & MASK64
 
-    def _compile_store_value(self, inst, size: int):
+    def _compile_stack_addr(self, push: bool):
+        """A PUSH/POP address: SP.  A push moves SP first, exactly as
+        :meth:`Interpreter._execute` does, so a faulting push leaves SP
+        decremented."""
+        regs = self.itp.regs
+        r = regs.read
+        w = regs.write
+        sp_reg = self.itp.abi.sp_reg
+        if not push:
+            return lambda: r(sp_reg)
+
+        def push_addr():
+            sp = (r(sp_reg) - 8) & MASK64
+            w(sp_reg, sp)
+            return sp
+
+        return push_addr
+
+    def _compile_store_value(self, reg: int, size: int):
         r = self.itp.regs.read
-        rs2 = inst.rs2
         mask = (1 << (8 * size)) - 1
-        return lambda: r(rs2) & mask
+        return lambda: r(reg) & mask
 
     def _compile_sync(self, inst, pc: int):
         """Closure with :meth:`Interpreter._execute_sync`'s exact
@@ -551,327 +546,52 @@ class JitEngine:
     # -- execution ---------------------------------------------------------
 
     def execute(self, block: Superblock):
-        if self.style == "host":
-            return self._exec_host(block)
-        return self._exec_nxp(block)
+        """Run one superblock (generator; yields at most a few
+        consolidated pauses plus any slow-route port traffic).
 
-    def _exec_host(self, block: Superblock):
-        """Run one host-style superblock (generator; yields at most a
-        few consolidated pauses plus any slow-route port traffic).
-
-        The I-fetch NX checks are hoisted: compilation validated every
-        code page against the port's NX sense, ``code_generation``
+        On the NxP each instruction first replays the I-fetch: the I-TLB
+        and I-cache *mutate* on every access (LRU order, hit/miss/evict
+        counters), so the replay calls the same objects the interpreter
+        would — only the timed pauses are consolidated.  An I-TLB probe
+        miss (or flipped NX sense) bails to the interpreter *before* any
+        bookkeeping for the instruction, so the real lookup is counted
+        exactly once.  The host I-fetch is hoisted: compilation validated
+        every code page against the port's NX sense, ``code_generation``
         equality (checked on entry by the interpreter and re-checked at
         every loop boundary and after every store) proves those checks
-        still pass, and the default host model charges zero I-fetch
-        time — so per-instruction fetch replay reduces to nothing.
+        still pass, and the host charges no I-fetch time.
+
+        Every flush settles the instruction counters, credits the
+        collapsed pauses and sleeps to the accumulated time ``t``.
         """
         itp = self.itp
         sim = itp.sim
         port = itp.port
-        regs = itp.regs
-        rread = regs.read
-        rwrite = regs.write
-        sp_reg = itp.abi.sp_reg
-        tcache = port.tcache
-        phys = port.phys
-        mm = port.mm
-        tables = port.tables
-        cached_ns = port.cfg.host_cached_mem_ns
-        c_load = port._c_load
-        c_store = port._c_store
-        counter = itp._inst_counter
-        sleep_until = sim.sleep_until
-        ops = block.ops
-        nops = len(ops)
-        gen = block.gen
-        entry = block.entry
-
-        self.block_exec_total += 1
-        t = sim.now
-        t0 = t
-        pauses = 0
-        n = 0
-        i = 0
-        while True:
-            if i == nops:
-                itp.pc = block.exit_pc
-                break
-            op = ops[i]
-            kind = op[0]
-            t += op[2]
-            pauses += 1
-            n += 1
-            if kind == K_SIMPLE:
-                fn = op[3]
-                if fn is not None:
-                    try:
-                        fn()
-                    except BaseException:
-                        itp.pc = op[1]
-                        counter.value += n
-                        self.block_inst_total += n
-                        self.block_sim_ns += t - t0
-                        self._note_bail("fault")
-                        sim.credit_events(pauses - 1)
-                        yield sleep_until(t)
-                        raise
-                i += 1
-            elif kind == K_GUARD:
-                if op[3]():
-                    idx = op[5]
-                    if idx >= 0:
-                        i = idx
-                    elif idx == LOOP_RESTART:
-                        counter.value += n
-                        self.block_inst_total += n
-                        self.block_sim_ns += t - t0
-                        n = 0
-                        sim.credit_events(pauses - 1)
-                        yield sleep_until(t)
-                        pauses = 0
-                        t0 = t = sim.now
-                        if port.code_generation != gen:
-                            itp.pc = entry
-                            self.invalidate("codegen")
-                            return
-                        i = 0
-                    else:  # GUARD_EXIT
-                        itp.pc = op[4]
-                        break
-                else:
-                    i += 1
-            elif kind == K_HLOAD:
-                addr = op[3]()
-                try:
-                    e = tcache.entry(addr)
-                except PageFault:
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    self._note_bail("fault")
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    raise
-                paddr = addr + e[0]
-                if mm.host_dram_contains(paddr):
-                    c_load.value += 1
-                    t += cached_ns
-                    pauses += 1
-                    rwrite(op[5], int.from_bytes(phys.read(paddr, op[4]), "little"))
-                else:
-                    # Cross-PCIe route: flush, then let the port charge
-                    # the real link traffic (contention included).
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    n = 0
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    pauses = 0
-                    data = yield from port.load(addr, op[4])
-                    rwrite(op[5], int.from_bytes(data, "little"))
-                    t0 = t = sim.now
-                i += 1
-            elif kind == K_HSTORE:
-                addr = op[3]()
-                try:
-                    e = tcache.entry(addr)
-                except PageFault:
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    self._note_bail("fault")
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    raise
-                if not e[1]:
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    self._note_bail("fault")
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    raise PageFault(addr, PageFault.WRITE_PROTECT, is_write=True)
-                paddr = addr + e[0]
-                if mm.host_dram_contains(paddr):
-                    c_store.value += 1
-                    tables.note_code_store(addr, op[4])
-                    t += cached_ns
-                    pauses += 1
-                    phys.write(paddr, op[5]().to_bytes(op[4], "little"))
-                    if tables.code_generation != gen:
-                        # Self-modifying store: the instruction is
-                        # complete; exit before running stale code.
-                        itp.pc = op[6]
-                        self.invalidate("self_modify")
-                        break
-                else:
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    n = 0
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    pauses = 0
-                    yield from port.store(addr, op[5]().to_bytes(op[4], "little"))
-                    t0 = t = sim.now
-                    if tables.code_generation != gen:
-                        itp.pc = op[6]
-                        self.invalidate("self_modify")
-                        break
-                i += 1
-            elif kind == K_PUSH:
-                # Replays Interpreter._execute exactly: SP moves first,
-                # so a faulting push leaves SP decremented, as the slow
-                # path would.
-                sp = (rread(sp_reg) - 8) & MASK64
-                rwrite(sp_reg, sp)
-                try:
-                    e = tcache.entry(sp)
-                except PageFault:
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    self._note_bail("fault")
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    raise
-                if not e[1]:
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    self._note_bail("fault")
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    raise PageFault(sp, PageFault.WRITE_PROTECT, is_write=True)
-                paddr = sp + e[0]
-                data = rread(op[3]).to_bytes(8, "little")
-                if mm.host_dram_contains(paddr):
-                    c_store.value += 1
-                    tables.note_code_store(sp, 8)
-                    t += cached_ns
-                    pauses += 1
-                    phys.write(paddr, data)
-                    if tables.code_generation != gen:
-                        itp.pc = op[4]
-                        self.invalidate("self_modify")
-                        break
-                else:
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    n = 0
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    pauses = 0
-                    yield from port.store(sp, data)
-                    t0 = t = sim.now
-                    if tables.code_generation != gen:
-                        itp.pc = op[4]
-                        self.invalidate("self_modify")
-                        break
-                i += 1
-            elif kind == K_POP:
-                sp = rread(sp_reg)
-                try:
-                    e = tcache.entry(sp)
-                except PageFault:
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    self._note_bail("fault")
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    raise
-                paddr = sp + e[0]
-                if mm.host_dram_contains(paddr):
-                    c_load.value += 1
-                    t += cached_ns
-                    pauses += 1
-                    value = int.from_bytes(phys.read(paddr, 8), "little")
-                else:
-                    itp.pc = op[1]
-                    counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
-                    n = 0
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    pauses = 0
-                    data = yield from port.load(sp, 8)
-                    value = int.from_bytes(data, "little")
-                    t0 = t = sim.now
-                rwrite(sp_reg, sp + 8)
-                rwrite(op[3], value)
-                i += 1
-            else:  # K_LOOP
-                if not op[2]:
-                    # Synthetic fall-through marker, not an instruction:
-                    # undo the blanket per-op charge applied above.
-                    pauses -= 1
-                    n -= 1
-                counter.value += n
-                self.block_inst_total += n
-                self.block_sim_ns += t - t0
-                n = 0
-                if pauses:
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    pauses = 0
-                t0 = t = sim.now
-                if port.code_generation != gen:
-                    itp.pc = entry
-                    self.invalidate("codegen")
-                    return
-                i = 0
-        # Normal exit (fell off the end, guard taken, self-modify stop).
-        counter.value += n
-        self.block_inst_total += n
-        self.block_sim_ns += t - t0
-        if pauses:
-            sim.credit_events(pauses - 1)
-            yield sleep_until(t)
-
-    def _exec_nxp(self, block: Superblock):
-        """Run one NxP superblock, replaying the I-TLB/I-cache pipeline
-        per instruction: the TLB and cache *mutate* on every access (LRU
-        order, hit/miss/evict counters), so the replay calls the same
-        objects the interpreter would — only the timed pauses are
-        consolidated.  An I-TLB probe miss (or flipped NX sense) bails
-        to the interpreter *before* any bookkeeping for the instruction,
-        so the real lookup is counted exactly once.
-        """
-        itp = self.itp
-        sim = itp.sim
-        port = itp.port
-        itlb = port.itlb
-        icache = port.icache
-        dtlb = port.dtlb
-        dcache = port.dcache
-        cacheable = port.cacheable
+        nxp = self.style == "nxp"
+        if nxp:
+            itlb = port.itlb
+            icache = port.icache
+            dtlb = port.dtlb
+            dcache = port.dcache
+            cacheable = port.cacheable
+            provider = port.tables_provider
+            c_fetch = port._c_fetch
+            c_load_local = port._c_load_local
+            cfg = port.cfg
+            tlb_hit_ns = cfg.tlb_hit_ns
+            icache_hit_ns = cfg.nxp_icache_hit_ns
+            bram_ns = cfg.nxp_bram_ns
+            local_read_ns = cfg.nxp_to_local_read_ns
+            local_write_ns = cfg.nxp_to_local_write_ns
+        else:
+            tcache = port.tcache
+            tables = port.tables
+            cached_ns = port.cfg.host_cached_mem_ns
+            sp_reg = itp.abi.sp_reg
         mm = port.mm
         phys = port.phys
-        provider = port.tables_provider
-        c_fetch = port._c_fetch
         c_load = port._c_load
-        c_load_local = port._c_load_local
         c_store = port._c_store
-        cfg = port.cfg
-        tlb_hit_ns = cfg.tlb_hit_ns
-        icache_hit_ns = cfg.nxp_icache_hit_ns
-        bram_ns = cfg.nxp_bram_ns
-        local_read_ns = cfg.nxp_to_local_read_ns
-        local_write_ns = cfg.nxp_to_local_write_ns
         rwrite = itp.regs.write
         counter = itp._inst_counter
         sleep_until = sim.sleep_until
@@ -894,58 +614,42 @@ class JitEngine:
             kind = op[0]
             pc_i = op[1]
             cost = op[2]
-            if kind == K_LOOP and not cost:
-                # Synthetic fall-through marker: no instruction here.
-                counter.value += n
-                self.block_inst_total += n
-                self.block_sim_ns += t - t0
-                n = 0
-                if pauses:
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    pauses = 0
-                t0 = t = sim.now
-                if port.code_generation != gen:
-                    itp.pc = entry
-                    self.invalidate("codegen")
+            if nxp and (cost or kind != K_LOOP):
+                # -- I-fetch replay (not for the synthetic loop marker) --
+                probed = itlb.probe(pc_i)
+                if probed is None or not probed.nx:
+                    itp.pc = pc_i
+                    counter.value += n
+                    self.block_inst_total += n
+                    self.block_sim_ns += t - t0
+                    self._note_bail("itlb")
+                    if pauses:
+                        sim.credit_events(pauses - 1)
+                        yield sleep_until(t)
                     return
-                i = 0
-                continue
-            # -- I-fetch replay (probe first: bail with nothing counted) --
-            probed = itlb.probe(pc_i)
-            if probed is None or not probed.nx:
-                itp.pc = pc_i
-                counter.value += n
-                self.block_inst_total += n
-                self.block_sim_ns += t - t0
-                self._note_bail("itlb")
-                if pauses:
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                return
-            fetched = itlb.lookup(pc_i)  # counted hit + LRU, as fetch would
-            paddr = fetched.paddr_for(pc_i)
-            c_fetch.value += 1
-            if icache.access(paddr):
-                t += tlb_hit_ns
-                t += icache_hit_ns
-                pauses += 2
-            else:
-                # I-cache miss: flush, then the port's own fill path
-                # (TLB-hit pause + cross-PCIe line fill, all real events).
-                counter.value += n
-                self.block_inst_total += n
-                self.block_sim_ns += t - t0
-                n = 0
-                if pauses:
-                    sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
-                    pauses = 0
-                yield from port._fetch_check_fill(paddr)
-                t0 = t = sim.now
-            n += 1
+                fetched = itlb.lookup(pc_i)  # counted hit + LRU, as fetch would
+                paddr = fetched.paddr_for(pc_i)
+                c_fetch.value += 1
+                if icache.access(paddr):
+                    t += tlb_hit_ns
+                    t += icache_hit_ns
+                    pauses += 2
+                else:
+                    # I-cache miss: flush, then the port's own fill path
+                    # (TLB-hit pause + cross-PCIe line fill, all real events).
+                    counter.value += n
+                    self.block_inst_total += n
+                    self.block_sim_ns += t - t0
+                    n = 0
+                    if pauses:
+                        sim.credit_events(pauses - 1)
+                        yield sleep_until(t)
+                        pauses = 0
+                    yield from port._fetch_check_fill(paddr)
+                    t0 = t = sim.now
             t += cost
             pauses += 1
+            n += 1
             if kind == K_SIMPLE:
                 fn = op[3]
                 if fn is not None:
@@ -1038,9 +742,9 @@ class JitEngine:
                         t += tlb_hit_ns
                         c_store.value += 1
                         if provider is not None:
-                            tables = provider()
-                            if tables is not None:
-                                tables.note_code_store(addr, size)
+                            space = provider()
+                            if space is not None:
+                                space.note_code_store(addr, size)
                         data = op[5]().to_bytes(size, "little")
                         if bram:
                             t += bram_ns
@@ -1074,20 +778,100 @@ class JitEngine:
                     self.invalidate("self_modify")
                     break
                 i += 1
-            else:  # K_LOOP with a real backedge jump instruction
+            elif kind == K_HLOAD or kind == K_POP:
+                addr = op[3]()
+                size = op[4]
+                try:
+                    delta = tcache.entry(addr)[0]
+                except PageFault:
+                    delta = None
+                if delta is not None and mm.host_dram_contains(addr + delta):
+                    c_load.value += 1
+                    t += cached_ns
+                    pauses += 1
+                    value = int.from_bytes(phys.read(addr + delta, size), "little")
+                else:
+                    # Translation fault or cross-PCIe route: flush, then
+                    # delegate the whole access to the port (the fault
+                    # and the link traffic are real, at a precise pc).
+                    itp.pc = pc_i
+                    counter.value += n
+                    self.block_inst_total += n
+                    self.block_sim_ns += t - t0
+                    n = 0
+                    sim.credit_events(pauses - 1)
+                    yield sleep_until(t)
+                    pauses = 0
+                    try:
+                        data = yield from port.load(addr, size)
+                    except PageFault:
+                        self._note_bail("fault")
+                        raise
+                    value = int.from_bytes(data, "little")
+                    t0 = t = sim.now
+                if kind == K_POP:
+                    rwrite(sp_reg, addr + 8)
+                rwrite(op[5], value)
+                i += 1
+            elif kind == K_HSTORE:
+                addr = op[3]()
+                size = op[4]
+                try:
+                    delta, writable, _nx = tcache.entry(addr)
+                except PageFault:
+                    writable = False
+                if writable and mm.host_dram_contains(addr + delta):
+                    c_store.value += 1
+                    tables.note_code_store(addr, size)
+                    t += cached_ns
+                    pauses += 1
+                    phys.write(addr + delta, op[5]().to_bytes(size, "little"))
+                else:
+                    # Translation fault, write-protect or cross-PCIe:
+                    # flush, delegate; port.store counts, pauses and
+                    # faults exactly as the interpreter's slow path would.
+                    itp.pc = pc_i
+                    counter.value += n
+                    self.block_inst_total += n
+                    self.block_sim_ns += t - t0
+                    n = 0
+                    sim.credit_events(pauses - 1)
+                    yield sleep_until(t)
+                    pauses = 0
+                    try:
+                        yield from port.store(addr, op[5]().to_bytes(size, "little"))
+                    except PageFault:
+                        self._note_bail("fault")
+                        raise
+                    t0 = t = sim.now
+                if port.code_generation != gen:
+                    # Self-modifying store: the instruction is complete;
+                    # exit before running stale code.
+                    itp.pc = op[6]
+                    self.invalidate("self_modify")
+                    break
+                i += 1
+            else:  # K_LOOP
+                if not cost:
+                    # Synthetic fall-through marker, not an instruction:
+                    # undo the blanket per-op charge applied above.
+                    pauses -= 1
+                    n -= 1
                 counter.value += n
                 self.block_inst_total += n
                 self.block_sim_ns += t - t0
                 n = 0
-                sim.credit_events(pauses - 1)
-                yield sleep_until(t)
-                pauses = 0
+                if pauses:
+                    sim.credit_events(pauses - 1)
+                    yield sleep_until(t)
+                    pauses = 0
                 t0 = t = sim.now
                 if port.code_generation != gen:
                     itp.pc = entry
                     self.invalidate("codegen")
                     return
                 i = 0
+        # Normal exit (fell off the end, guard taken, self-modify stop).
         counter.value += n
         self.block_inst_total += n
         self.block_sim_ns += t - t0

@@ -71,6 +71,37 @@ class WindowAllocator:
         return self.phys_base + (vaddr - self.virt_base)
 
 
+class HostHeap(RegionAllocator):
+    """The host heap window: ``HOST_HEAP_BYTES`` of virtual space whose
+    2 MB pages are backed from host DRAM when an allocation first
+    reaches them (the first page at creation).  Only the heap a process
+    uses costs physical memory: a serving machine loads dozens of
+    processes that never allocate on it.  Backing happens at allocation,
+    not on a page fault, so it costs no simulated time and every
+    allocated byte is mapped, as with an eagerly backed heap.
+    """
+
+    def __init__(self, host_phys: RegionAllocator, tables: PageTables):
+        super().__init__("host_heap", HOST_HEAP_VBASE, HOST_HEAP_BYTES)
+        self._host_phys = host_phys
+        self._tables = tables
+        self._backed = 0  # bytes of the window mapped so far
+        # Back the first page now: a heap that fits in it never changes
+        # the page tables (and so the code generation) at run time.
+        self._back(PAGE_2M)
+
+    def _back(self, nbytes: int) -> None:
+        while self._backed < nbytes:
+            paddr = self._host_phys.alloc(PAGE_2M, align=PAGE_2M)
+            self._tables.map_page(HOST_HEAP_VBASE + self._backed, paddr, PAGE_2M, nx=True)
+            self._backed += PAGE_2M
+
+    def alloc(self, size: int, align: int = 8) -> int:
+        vaddr = super().alloc(size, align)
+        self._back(vaddr + size - HOST_HEAP_VBASE)
+        return vaddr
+
+
 def create_address_space(machine, name: str) -> Process:
     """Create a bare Flick address space: page tables plus the fixed
     process windows, but no program segments (used by hosted-mode
@@ -91,11 +122,8 @@ def create_address_space(machine, name: str) -> Process:
     # NxP stack BRAM window (2MB pages).
     for off in range(0, mm.nxp_bram_size, PAGE_2M):
         pt.map_page(NXP_STACK_VBASE + off, mm.nxp_bram_base + off, PAGE_2M, nx=True)
-    # Host heap (2MB pages, eagerly backed; a demand-paged variant exists
-    # as kernel extension but eager keeps experiment setup deterministic).
-    heap_phys = machine.host_phys.alloc(HOST_HEAP_BYTES, align=PAGE_2M)
-    for off in range(0, HOST_HEAP_BYTES, PAGE_2M):
-        pt.map_page(HOST_HEAP_VBASE + off, heap_phys + off, PAGE_2M, nx=True)
+    # Host heap (2MB pages, backed as allocations reach them).
+    host_heap = HostHeap(machine.host_phys, pt)
     # Host stack.
     stack_phys = machine.host_phys.alloc(HOST_STACK_BYTES, align=PAGE_2M)
     pt.map_page(HOST_STACK_TOP - HOST_STACK_BYTES, stack_phys, PAGE_2M, nx=True)
@@ -103,7 +131,7 @@ def create_address_space(machine, name: str) -> Process:
     process = Process(
         name=name,
         page_tables=pt,
-        host_heap=RegionAllocator("host_heap", HOST_HEAP_VBASE, HOST_HEAP_BYTES),
+        host_heap=host_heap,
         nxp_heap=WindowAllocator(
             "nxp_heap", machine.nxp_phys, mm.bar0_base, NXP_WINDOW_VBASE
         ),

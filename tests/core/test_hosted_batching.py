@@ -1,6 +1,6 @@
 """Hosted-mode op batching: bit-identical parity and exact drain.
 
-The contract (docs/PERFORMANCE.md): with ``hosted_batch_ops`` on, runs
+The contract (docs/PERFORMANCE.md): with ``hosted_batch_size`` > 1, runs
 of same-cost loads/stores/computes collapse into consolidated timed
 yields.  Return values, simulated time and every stat counter must be
 **bit-identical** to the unbatched per-op reference path; only the DES
@@ -19,7 +19,7 @@ from repro.workloads.graphs import social_graph
 from repro.workloads.kv_filter import run_kv_filter
 from repro.workloads.pointer_chase import run_pointer_chase
 
-BATCH_OFF = replace(DEFAULT_CONFIG, hosted_batch_ops=False)
+BATCH_OFF = replace(DEFAULT_CONFIG, hosted_batch_size=1)
 
 
 def _null_call_program():
@@ -200,7 +200,7 @@ class TestExactDrain:
 
 class TestBatchKnobs:
     def test_toggle_off_gives_unit_runs(self):
-        hosted = self._machine_with(replace(DEFAULT_CONFIG, hosted_batch_ops=False))
+        hosted = self._machine_with(replace(DEFAULT_CONFIG, hosted_batch_size=1))
         ctx = HostedContext(hosted, "host")
         assert ctx.batch_ops == 1
 
@@ -210,8 +210,7 @@ class TestBatchKnobs:
         assert ctx.batch_ops == 32
 
     def test_default_on(self):
-        assert DEFAULT_CONFIG.hosted_batch_ops is True
-        assert DEFAULT_CONFIG.hosted_batch_size >= 1
+        assert DEFAULT_CONFIG.hosted_batch_size > 1
 
     def test_small_batch_size_still_parity(self):
         tiny = replace(DEFAULT_CONFIG, hosted_batch_size=3)

@@ -1,7 +1,12 @@
 """Miscellaneous FlickMachine API behaviours."""
 
+import dataclasses
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro import DEFAULT_CONFIG, FlickConfig, FlickMachine
 
 SRC = """
@@ -70,6 +75,17 @@ class TestConfigAPI:
         assert cfg.dma_transfer_ns(0) == pytest.approx(
             cfg.dma_setup_ns + cfg.pcie_oneway_ns
         )
+
+    def test_every_field_is_read(self):
+        """A knob nothing reads is dead weight: every FlickConfig field
+        is read as an attribute somewhere in the package."""
+        package = pathlib.Path(repro.__file__).parent
+        source = "\n".join(path.read_text() for path in package.rglob("*.py"))
+        unread = [
+            f.name for f in dataclasses.fields(FlickConfig)
+            if not re.search(rf"\.{f.name}\b", source)
+        ]
+        assert unread == []
 
     def test_memory_map_predicates(self):
         mm = DEFAULT_CONFIG.memory_map

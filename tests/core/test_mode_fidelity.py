@@ -133,12 +133,10 @@ func main(n) {
 NESTED_CALLS = 3
 
 #: The protocol's trace vocabulary: what either executor must emit, in
-#: the same order, for the same fault schedule.  ``degraded_n2h_call``
-#: is left out: it marks the interpreted fallback *body* calling a host
-#: function inline, which a hosted fallback body does as a plain call.
+#: the same order, for the same fault schedule.
 PROTOCOL_EVENTS = ("h2n_call_", "dma_h2n", "nxp_dispatch_", "n2h_", "retry",
                    "watchdog_trip", "replay", "degraded_call", "degraded_done",
-                   "irq", "task_wake", "fault_inject")
+                   "degraded_n2h_call", "irq", "task_wake", "fault_inject")
 PROTOCOL_STATS = ("migration.", "kernel.", "degraded.", "fault.")
 
 #: Every chaos-matrix plan that fires a bounded number of times (the

@@ -53,6 +53,24 @@ class TestWindows:
         assert machine.memory_map.host_dram_contains(heap_tr.paddr)
         assert machine.memory_map.host_dram_contains(stack_tr.paddr)
 
+    def test_host_heap_backed_as_allocations_reach_it(self):
+        machine = FlickMachine()
+        process = create_address_space(machine, "t")
+        second_page = HOST_HEAP_VBASE + PAGE_2M
+        with pytest.raises(PageFault):
+            process.page_tables.translate(second_page)
+        assert process.host_heap.alloc(PAGE_2M + 8) == HOST_HEAP_VBASE
+        tr = process.page_tables.translate(second_page)
+        assert tr.page_size == PAGE_2M and tr.nx and tr.writable
+        assert machine.memory_map.host_dram_contains(tr.paddr)
+
+    def test_unused_heaps_cost_no_host_dram(self):
+        # Each address space reserves a 64 MB heap window; 64 of them
+        # only fit in host DRAM because untouched heap pages are unbacked.
+        machine = FlickMachine()
+        for i in range(64):
+            create_address_space(machine, f"t{i}")
+
     def test_windows_marked_nx(self):
         """Data windows are never executable on the host."""
         machine = FlickMachine()

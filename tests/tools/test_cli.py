@@ -155,6 +155,16 @@ class TestBench:
         assert "False" not in out
 
 
+class TestServe:
+    def test_mixed_scenario_at_defaults(self):
+        # 8 clients x 4 request kinds load ~30 processes; every one
+        # reserves a 64 MB host heap window, which must not exhaust
+        # host DRAM when the serving profiles never allocate from it.
+        code, out = run_cli(["serve", "--scenario", "mixed"])
+        assert code == 0
+        assert "scenario=mixed" in out
+
+
 class TestMetrics:
     def test_openmetrics_output(self, demo_file):
         code, out = run_cli(["metrics", demo_file, "--args", "3"])
