@@ -17,7 +17,7 @@ exists to answer:
   saturate like a single-device machine; ``round_robin`` and
   ``least_loaded`` spread sessions and should track the scaling curve.
   The per-device session counts come from the placement layer's
-  sidecar counters.
+  ``placement.pick.dev{i}`` counters in the observed stats tier.
 
 * **Chaos drain** — kill one of N devices mid-run and compare against
   the same traffic with no kill: every request must still complete
@@ -25,7 +25,7 @@ exists to answer:
   the p99 must stay bounded (the kill run uses the hardened protocol's
   watchdog/failover machinery; see ``TrafficConfig.kill_at_ns``).
 
-Everything lands in a ``flick.fleet.v1`` JSON document plus rendered
+Everything lands in a ``flick.fleet.v2`` JSON document plus rendered
 tables.  Exposed as ``python -m repro fleet`` (``--smoke`` runs a
 CI-sized subset).
 """
@@ -519,7 +519,7 @@ def fleet_report_doc(report: FleetReport) -> dict:
     fc = report.config
     return {
         "benchmark": "fleet",
-        "schema": "flick.fleet.v1",
+        "schema": "flick.fleet.v2",
         "scenario": fc.scenario,
         "arrival": fc.arrival,
         "seed": fc.seed,

@@ -25,8 +25,9 @@ Three derivations:
   core).  Each device also gets a fixed-slice busy-fraction timeline.
 
 * **RunReport** — one structured object with the stat snapshot, the
-  measured phase breakdown, every histogram, the utilization table and
-  run metadata; renderable as OpenMetrics text
+  observed (parity-exempt) tier, the measured phase breakdown, every
+  histogram, the utilization table and run metadata; renderable as
+  OpenMetrics text
   (:func:`render_openmetrics`) or JSON (:func:`render_json`, round-trip
   via :func:`report_from_json`), and exposed on the command line as
   ``python -m repro metrics``.
@@ -64,6 +65,9 @@ _LEG_SPANS = {
 }
 
 _SESSION_METRIC = "h2n_session_ns"
+
+#: the JSON document schema of :func:`report_to_dict`
+RUN_REPORT_SCHEMA = "flick.run_report.v2"
 
 #: default number of slices in a utilization timeline
 TIMELINE_SLICES = 20
@@ -180,22 +184,15 @@ class RunReport:
     utilization: Dict[str, UtilizationSummary]
     #: trace health: analyses over a truncated trace are windows
     truncated: bool = False
-    #: tracing-JIT tier telemetry (``FlickMachine.jit_stats``): kept out
-    #: of ``stats`` so the parity-pinned snapshot never sees the tier
-    jit: Dict[str, float] = field(default_factory=dict)
-    #: placement sidecar counters (picks per device, failover,
-    #: exhausted, half-open breaker probes) — kept out of ``stats`` for
-    #: the same parity reason
-    placement: Dict[str, float] = field(default_factory=dict)
+    #: the registry's observed tier summed over scopes
+    #: (``StatRegistry.observed_totals``): ``jit.*``, ``placement.*``
+    #: and ``trace.*`` counters the parity-pinned ``stats`` never holds.
+    #: Nonzero ``trace.dropped``/``trace.spans_dropped`` mean every
+    #: derivation above saw a window of the run, not the whole run.
+    observed: Dict[str, float] = field(default_factory=dict)
     #: spans still open when the report was built (hung legs / in-flight
     #: requests) — their time is absent from every histogram above
     open_spans: int = 0
-    #: span lifecycle violations recorded by the trace (double closes)
-    span_anomalies: int = 0
-    #: ring-evicted events / spans (nonzero means every derivation above
-    #: saw a window of the run, not the whole run)
-    trace_dropped: int = 0
-    trace_spans_dropped: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +397,7 @@ def build_run_report(
 ) -> RunReport:
     """Derive a :class:`RunReport` from a finished machine's trace + stats.
 
-    ``machine`` is a :class:`~repro.core.machine.FlickMachine` (or any
-    object with ``trace``, ``stats`` and ``sim`` attributes) that has
+    ``machine`` is a :class:`~repro.core.machine.FlickMachine` that has
     finished running.  ``sim_ns`` defaults to the simulator clock.
     Raises :class:`~repro.core.trace.TraceTruncated` via the breakdown
     pass when the trace ring dropped events, unless ``allow_truncated``.
@@ -427,17 +423,11 @@ def build_run_report(
             trace,
             t_end,
             slices=slices,
-            nxp_devices=len(machine.devices) if hasattr(machine, "devices") else None,
+            nxp_devices=len(machine.devices),
         ),
         truncated=trace.truncated,
-        jit=machine.jit_stats() if hasattr(machine, "jit_stats") else {},
-        placement=(
-            dict(machine.placement.counters) if hasattr(machine, "placement") else {}
-        ),
+        observed=dict(sorted(stats.observed_totals().items())),
         open_spans=len(trace.open_spans()),
-        span_anomalies=trace.span_anomalies,
-        trace_dropped=trace.dropped,
-        trace_spans_dropped=trace.spans_dropped,
     )
 
 
@@ -476,39 +466,46 @@ def _fmt(value: float) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _emit_histogram(
-    lines: List[str],
-    metric: str,
-    summary: HistogramSummary,
-    labels: Dict[str, str],
-    typed: set,
-) -> None:
-    if metric not in typed:
-        lines.append(f"# TYPE {metric} histogram")
-        lines.append(f"# UNIT {metric} nanoseconds")
-        typed.add(metric)
-    for le, cumulative in summary.buckets:
-        lines.append(
-            f"{metric}_bucket{_labels({**labels, 'le': _fmt(le)})} {cumulative}"
-        )
-    lines.append(f"{metric}_bucket{_labels({**labels, 'le': '+Inf'})} {summary.count}")
-    lines.append(f"{metric}_sum{_labels(labels)} {_fmt(summary.sum)}")
-    lines.append(f"{metric}_count{_labels(labels)} {summary.count}")
+def _emit_family(lines: List[str], kind: str, key: str, samples) -> None:
+    """One ``counter`` or ``gauge`` family: its ``# TYPE`` line, then one
+    sample per ``(labels, value)`` pair in ``samples`` (a counter's with
+    the ``_total`` suffix)."""
+    metric = _metric_name(key)
+    lines.append(f"# TYPE {metric} {kind}")
+    suffix = "_total" if kind == "counter" else ""
+    for labels, value in samples:
+        lines.append(f"{metric}{suffix}{_labels(labels)} {_fmt(value)}")
+
+
+def _emit_histogram(lines: List[str], metric: str, series) -> None:
+    """One histogram family: its ``# TYPE`` line, then the cumulative
+    ``_bucket`` lines, ``_sum`` and ``_count`` of each
+    ``(labels, HistogramSummary)`` series."""
+    lines.append(f"# TYPE {metric} histogram")
+    for labels, summary in series:
+        for le, cumulative in summary.buckets:
+            lines.append(
+                f"{metric}_bucket{_labels({**labels, 'le': _fmt(le)})} {cumulative}"
+            )
+        lines.append(f"{metric}_bucket{_labels({**labels, 'le': '+Inf'})} {summary.count}")
+        lines.append(f"{metric}_sum{_labels(labels)} {_fmt(summary.sum)}")
+        lines.append(f"{metric}_count{_labels(labels)} {summary.count}")
 
 
 def render_openmetrics(report: RunReport) -> str:
     """Render a :class:`RunReport` as OpenMetrics/Prometheus text.
 
-    Families: every registry counter becomes a ``counter`` (with the
-    required ``_total`` suffix), registry accumulators become
-    ``summary`` families (``_sum``/``_count`` + ``quantile`` lines),
-    derived histograms become ``histogram`` families (``_bucket`` with
-    cumulative ``le`` labels, ``_sum``, ``_count``; per-pid series carry
-    a ``pid`` label), utilization and phase means become ``gauge``
-    families.  Ends with the mandatory ``# EOF`` terminator.
+    Families: every registry and observed-tier counter becomes a
+    ``counter`` (with the required ``_total`` suffix), registry
+    accumulators and histograms become ``summary`` families
+    (``_sum``/``_count`` + ``quantile`` lines) unless a span-derived
+    histogram owns the name, derived histograms become ``histogram``
+    families (``_bucket`` with cumulative ``le`` labels, ``_sum``,
+    ``_count``; per-pid series carry a ``pid`` label), utilization and
+    phase means become ``gauge`` families.  Each family is declared
+    once; the text ends with the mandatory ``# EOF`` terminator.
     """
     lines: List[str] = []
-    typed: set = set()
     stats = report.stats
 
     # partition the flat snapshot into families: a key with derived
@@ -532,25 +529,36 @@ def render_openmetrics(report: RunReport) -> str:
     for key in sorted(stats):
         if key in prefixes or any(key.endswith(s) for s in suffixes):
             continue
-        metric = _metric_name(key)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}_total {_fmt(stats[key])}")
+        _emit_family(lines, "counter", key, [({}, stats[key])])
+    for key in sorted(report.observed):
+        _emit_family(lines, "counter", key, [({}, report.observed[key])])
 
     for key in sorted(gauge_keys):
         if key not in stats:
             continue
-        metric = _metric_name(key)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_fmt(stats[key])}")
+        _emit_family(lines, "gauge", key, [({}, stats[key])])
         if f"{key}.max" in stats:
-            lines.append(f"# TYPE {metric}_max gauge")
-            lines.append(f"{metric}_max {_fmt(stats[f'{key}.max'])}")
+            _emit_family(lines, "gauge", f"{key}_max", [({}, stats[f"{key}.max"])])
 
-    # accumulators / registry histograms flatten to summaries
+    # derived latency histograms: machine-wide series, then per-pid ones
+    series: Dict[str, list] = {}
+    for name, summary in report.histograms.items():
+        series.setdefault(_metric_name(f"latency.{name}"), []).append(({}, summary))
+    for pid, hists in report.by_pid.items():
+        for name, summary in hists.items():
+            series.setdefault(_metric_name(f"latency.{name}"), []).append(
+                ({"pid": str(pid)}, summary)
+            )
+
+    # accumulators / registry histograms flatten to summaries; the
+    # registry's live ``latency.*`` histograms carry the same
+    # observations as the span-derived families above, which own the name
     for key in sorted(summary_keys):
+        metric = _metric_name(key)
+        if metric in series:
+            continue
         count = stats[f"{key}.count"]
         total = stats.get(f"{key}.total", stats.get(f"{key}.sum"))
-        metric = _metric_name(key)
         lines.append(f"# TYPE {metric} summary")
         for pct, label in ((f"{key}.p50", "0.5"), (f"{key}.p99", "0.99")):
             if pct in stats:
@@ -560,63 +568,32 @@ def render_openmetrics(report: RunReport) -> str:
         lines.append(f"{metric}_sum {_fmt(total)}")
         lines.append(f"{metric}_count {int(count)}")
 
-    # derived latency histograms (machine-wide, then per-pid series)
-    for name, summary in report.histograms.items():
-        _emit_histogram(lines, _metric_name(f"latency.{name}"), summary, {}, typed)
-    for pid, hists in report.by_pid.items():
-        for name, summary in hists.items():
-            _emit_histogram(
-                lines, _metric_name(f"latency.{name}"), summary, {"pid": str(pid)}, typed
-            )
+    for metric, family in series.items():
+        _emit_histogram(lines, metric, family)
 
     # utilization + phase means as gauges
-    util_metric = _metric_name("device_utilization")
-    lines.append(f"# TYPE {util_metric} gauge")
-    for device, summary in report.utilization.items():
-        lines.append(
-            f"{util_metric}{_labels({'device': device})} {_fmt(summary.fraction)}"
-        )
-    phase_metric = _metric_name("phase_mean_ns")
-    lines.append(f"# TYPE {phase_metric} gauge")
-    for phase, ns in report.phases.items():
-        lines.append(f"{phase_metric}{_labels({'phase': phase})} {_fmt(ns)}")
-
-    # tracing-JIT tier telemetry (sidecar counters, not in the registry)
-    for key in sorted(report.jit):
-        metric = _metric_name(key)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}_total {_fmt(report.jit[key])}")
-
-    # placement sidecar counters (picks, failover, probes)
-    for key in sorted(report.placement):
-        metric = _metric_name(key)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}_total {_fmt(report.placement[key])}")
-
+    _emit_family(
+        lines,
+        "gauge",
+        "device_utilization",
+        [({"device": device}, s.fraction) for device, s in report.utilization.items()],
+    )
+    _emit_family(
+        lines,
+        "gauge",
+        "phase_mean_ns",
+        [({"phase": phase}, ns) for phase, ns in report.phases.items()],
+    )
     # trace health: work the histograms above could not see
-    open_metric = _metric_name("trace_open_spans")
-    lines.append(f"# TYPE {open_metric} gauge")
-    lines.append(f"{open_metric} {report.open_spans}")
-    anomaly_metric = _metric_name("trace_span_anomalies")
-    lines.append(f"# TYPE {anomaly_metric} counter")
-    lines.append(f"{anomaly_metric}_total {report.span_anomalies}")
-    dropped_metric = _metric_name("trace_dropped")
-    lines.append(f"# TYPE {dropped_metric} counter")
-    lines.append(f"{dropped_metric}_total {report.trace_dropped}")
-    sdropped_metric = _metric_name("trace_spans_dropped")
-    lines.append(f"# TYPE {sdropped_metric} counter")
-    lines.append(f"{sdropped_metric}_total {report.trace_spans_dropped}")
-
-    sim_metric = _metric_name("sim_time_ns")
-    lines.append(f"# TYPE {sim_metric} gauge")
-    lines.append(f"{sim_metric} {_fmt(report.sim_ns)}")
+    _emit_family(lines, "gauge", "trace_open_spans", [({}, report.open_spans)])
+    _emit_family(lines, "gauge", "sim_time_ns", [({}, report.sim_ns)])
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 
 
 def report_to_dict(report: RunReport) -> dict:
     return {
-        "schema": "flick.run_report.v1",
+        "schema": RUN_REPORT_SCHEMA,
         "sim_ns": report.sim_ns,
         "stats": dict(report.stats),
         "phases": dict(report.phases),
@@ -628,12 +605,8 @@ def report_to_dict(report: RunReport) -> dict:
         },
         "utilization": {k: v.to_dict() for k, v in report.utilization.items()},
         "truncated": report.truncated,
-        "jit": dict(report.jit),
-        "placement": dict(report.placement),
+        "observed": dict(report.observed),
         "open_spans": report.open_spans,
-        "span_anomalies": report.span_anomalies,
-        "trace_dropped": report.trace_dropped,
-        "trace_spans_dropped": report.trace_spans_dropped,
     }
 
 
@@ -646,8 +619,10 @@ def report_from_json(doc) -> RunReport:
     (a JSON string or an already-parsed dict)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if doc.get("schema") != "flick.run_report.v1":
-        raise ValueError(f"not a RunReport document: schema={doc.get('schema')!r}")
+    if doc.get("schema") != RUN_REPORT_SCHEMA:
+        raise ValueError(
+            f"not a {RUN_REPORT_SCHEMA} document: schema={doc.get('schema')!r}"
+        )
     return RunReport(
         sim_ns=doc["sim_ns"],
         stats=dict(doc["stats"]),
@@ -664,10 +639,6 @@ def report_from_json(doc) -> RunReport:
             k: UtilizationSummary.from_dict(v) for k, v in doc["utilization"].items()
         },
         truncated=doc["truncated"],
-        jit=dict(doc.get("jit", {})),  # absent in pre-JIT documents
-        placement=dict(doc.get("placement", {})),  # absent pre-robustness
-        open_spans=int(doc.get("open_spans", 0)),  # absent pre-serving
-        span_anomalies=int(doc.get("span_anomalies", 0)),
-        trace_dropped=int(doc.get("trace_dropped", 0)),  # absent pre-tracing
-        trace_spans_dropped=int(doc.get("trace_spans_dropped", 0)),
+        observed=dict(doc["observed"]),
+        open_spans=doc["open_spans"],
     )

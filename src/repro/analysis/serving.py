@@ -54,6 +54,9 @@ from repro.analysis.critical_path import extract_request_paths
 from repro.analysis.metrics import (
     HistogramSummary,
     UtilizationSummary,
+    _emit_family,
+    _emit_histogram,
+    _metric_name,
     device_utilization,
 )
 from repro.analysis.sweep import parallel_map
@@ -315,10 +318,15 @@ class ServingResult:
     kind_counts: Dict[str, int]
     latency_histogram: HistogramSummary
     utilization: Dict[str, UtilizationSummary] = field(default_factory=dict)
-    #: trace health after the run: both must be zero for a clean run
+    #: trace health after the run: zero, like ``trace.span_anomalies``
+    #: in :attr:`observed`, for a clean run
     open_spans: int = 0
-    span_anomalies: int = 0
-    #: sessions placed per device index (placement sidecar counters)
+    #: the machine's observed tier summed over scopes
+    #: (``StatRegistry.observed_totals``): ``jit.*``, ``placement.*`` and
+    #: ``trace.*``.  Nonzero ``trace.dropped``/``trace.spans_dropped``
+    #: mean every span-derived number above covers a *window* of the run.
+    observed: Dict[str, float] = field(default_factory=dict)
+    #: sessions placed per device index (``placement.pick.dev{i}``)
     device_sessions: Dict[int, int] = field(default_factory=dict)
     #: NISA calls that completed via host-fallback emulation (all
     #: devices down, or a kill run's tail) — from ``degraded.calls``
@@ -336,11 +344,6 @@ class ServingResult:
     #: revive runs only: sessions placed per device *after* the revive
     #: instant (final placement counters minus the pre-revive snapshot)
     post_revival_sessions: Dict[int, int] = field(default_factory=dict)
-    #: trace ring pressure after the run: events / completed spans the
-    #: bounded rings evicted.  Non-zero means every span-derived number
-    #: above was computed on a *window*, not the whole run.
-    trace_dropped: int = 0
-    trace_spans_dropped: int = 0
     #: traced runs only (config.traced): one exactly-tiling critical
     #: path per request, request-index order
     #: (repro.analysis.critical_path.RequestPath); empty when untraced
@@ -388,13 +391,11 @@ class ServingResult:
                 for device, summary in self.utilization.items()
             },
             "open_spans": self.open_spans,
-            "span_anomalies": self.span_anomalies,
+            "observed": dict(self.observed),
             "nxps": self.config.nxps,
             "policy": self.config.policy,
             "device_sessions": {str(k): v for k, v in self.device_sessions.items()},
             "degraded_calls": self.degraded_calls,
-            "trace_dropped": self.trace_dropped,
-            "trace_spans_dropped": self.trace_spans_dropped,
             "shed": self.shed,
             "shed_by_reason": dict(self.shed_by_reason),
             "brownout_calls": self.brownout_calls,
@@ -705,7 +706,7 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
             nxp_devices=tc.nxps if tc.nxps > 1 else None,
         ),
         open_spans=len(trace.open_spans()),
-        span_anomalies=trace.span_anomalies,
+        observed=dict(sorted(machine.stats.observed_totals().items())),
         device_sessions=final_sessions,
         degraded_calls=int(stats.get("degraded.calls", 0)),
         shed=len(done) - len(served),
@@ -717,8 +718,6 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
         retry_budget_denied=int(stats.get("retry_budget.denied", 0)),
         revived=int(stats.get("nxp.revived", 0)),
         post_revival_sessions=post_revival,
-        trace_dropped=trace.dropped,
-        trace_spans_dropped=trace.spans_dropped,
         paths=(
             extract_request_paths(trace, served) if tc.traced else []
         ),
@@ -870,67 +869,55 @@ def render_serving_table(results: Sequence[ServingResult]) -> str:
 
 
 def render_serving_openmetrics(results: Sequence[ServingResult]) -> str:
-    """Serving curves as OpenMetrics text (one series per offered QPS)."""
+    """Serving curves as OpenMetrics text: one series per offered QPS in
+    each family, every family declared once, observed-tier counters
+    included."""
     lines: List[str] = []
-    lines.append("# TYPE flick_serving_latency_ns histogram")
-    lines.append("# UNIT flick_serving_latency_ns nanoseconds")
-    for r in results:
-        labels = f'{{offered_qps="{r.offered_qps:g}",scenario="{r.config.scenario}"}}'
-        hist = r.latency_histogram
-        for le, cumulative in hist.buckets:
-            lines.append(
-                f'flick_serving_latency_ns_bucket{{offered_qps="{r.offered_qps:g}",'
-                f'scenario="{r.config.scenario}",le="{le:g}"}} {cumulative}'
-            )
-        lines.append(
-            f'flick_serving_latency_ns_bucket{{offered_qps="{r.offered_qps:g}",'
-            f'scenario="{r.config.scenario}",le="+Inf"}} {hist.count}'
-        )
-        lines.append(f"flick_serving_latency_ns_sum{labels} {hist.sum}")
-        lines.append(f"flick_serving_latency_ns_count{labels} {hist.count}")
-    lines.append("# TYPE flick_serving_achieved_qps gauge")
-    for r in results:
-        lines.append(
-            f'flick_serving_achieved_qps{{offered_qps="{r.offered_qps:g}",'
-            f'scenario="{r.config.scenario}"}} {r.achieved_qps}'
-        )
-    lines.append("# TYPE flick_serving_device_utilization gauge")
-    for r in results:
-        for device, summary in r.utilization.items():
-            lines.append(
-                f'flick_serving_device_utilization{{offered_qps="{r.offered_qps:g}",'
-                f'device="{device}"}} {summary.fraction}'
-            )
-    lines.append("# TYPE flick_serving_shed counter")
-    for r in results:
-        for reason, n in sorted(r.shed_by_reason.items()):
-            lines.append(
-                f'flick_serving_shed_total{{offered_qps="{r.offered_qps:g}",'
-                f'scenario="{r.config.scenario}",reason="{reason}"}} {n}'
-            )
-    lines.append("# TYPE flick_serving_retry_budget_denied counter")
-    for r in results:
-        lines.append(
-            f'flick_serving_retry_budget_denied_total{{offered_qps="{r.offered_qps:g}",'
-            f'scenario="{r.config.scenario}"}} {r.retry_budget_denied}'
-        )
-    lines.append("# TYPE flick_serving_revived counter")
-    for r in results:
-        lines.append(
-            f'flick_serving_revived_total{{offered_qps="{r.offered_qps:g}",'
-            f'scenario="{r.config.scenario}"}} {r.revived}'
-        )
-    lines.append("# TYPE flick_trace_dropped counter")
-    for r in results:
-        lines.append(
-            f'flick_trace_dropped_total{{offered_qps="{r.offered_qps:g}",'
-            f'scenario="{r.config.scenario}"}} {r.trace_dropped}'
-        )
-    lines.append("# TYPE flick_trace_spans_dropped counter")
-    for r in results:
-        lines.append(
-            f'flick_trace_spans_dropped_total{{offered_qps="{r.offered_qps:g}",'
-            f'scenario="{r.config.scenario}"}} {r.trace_spans_dropped}'
+
+    def point(r: ServingResult, **extra) -> Dict[str, str]:
+        return {"offered_qps": f"{r.offered_qps:g}", "scenario": r.config.scenario, **extra}
+
+    _emit_histogram(
+        lines,
+        _metric_name("serving_latency_ns"),
+        [(point(r), r.latency_histogram) for r in results],
+    )
+    _emit_family(
+        lines, "gauge", "serving_achieved_qps", [(point(r), r.achieved_qps) for r in results]
+    )
+    _emit_family(
+        lines,
+        "gauge",
+        "serving_device_utilization",
+        [
+            ({"offered_qps": f"{r.offered_qps:g}", "device": device}, summary.fraction)
+            for r in results
+            for device, summary in r.utilization.items()
+        ],
+    )
+    _emit_family(
+        lines,
+        "counter",
+        "serving_shed",
+        [
+            (point(r, reason=reason), n)
+            for r in results
+            for reason, n in sorted(r.shed_by_reason.items())
+        ],
+    )
+    _emit_family(
+        lines,
+        "counter",
+        "serving_retry_budget_denied",
+        [(point(r), r.retry_budget_denied) for r in results],
+    )
+    _emit_family(lines, "counter", "serving_revived", [(point(r), r.revived) for r in results])
+    for key in sorted({key for r in results for key in r.observed}):
+        _emit_family(
+            lines,
+            "counter",
+            key,
+            [(point(r), r.observed[key]) for r in results if key in r.observed],
         )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
@@ -941,7 +928,7 @@ def serving_report_doc(results: Sequence[ServingResult]) -> dict:
     first = results[0].config if results else TrafficConfig()
     return {
         "benchmark": "serving",
-        "schema": "flick.serving.v1",
+        "schema": "flick.serving.v2",
         "scenario": first.scenario,
         "arrival": first.arrival,
         "mode": first.mode,

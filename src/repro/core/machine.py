@@ -99,7 +99,7 @@ class FlickMachine:
         self.memory_map = cfg.memory_map
         self.sim = Simulator(fast_now_queue=cfg.engine_fast_path)
         self.stats = StatRegistry(metrics_enabled=cfg.metrics)
-        self.trace = MigrationTrace(self.sim)
+        self.trace = MigrationTrace(self.sim, stats=self.stats)
         self.trace.context_enabled = cfg.trace_context
 
         # -- physical memory ------------------------------------------------
@@ -257,30 +257,11 @@ class FlickMachine:
         return self.injector is not None
 
     def jit_stats(self) -> Dict[str, float]:
-        """Aggregate tracing-JIT counters across every core.
-
-        Kept separate from :attr:`stats` on purpose: the JIT tier must
-        be invisible to the parity-pinned stat snapshot (JIT-on and
-        JIT-off runs compare bit-identical), so its observability rides
-        in this sidecar instead — surfaced by ``python -m repro
-        profile`` and the metrics report.
-        """
-        out: Dict[str, float] = {}
-        engines = []
-        for thread in self.threads:
-            engines.append(getattr(thread.cpu, "_jit", None))
-            fallback = getattr(thread, "_fallback_cpu", None)
-            if fallback is not None:
-                engines.append(getattr(fallback, "_jit", None))
-        for dev in self.devices:
-            # A hosted machine's engines run no NISA interpreter.
-            engines.append(getattr(getattr(dev.platform, "cpu", None), "_jit", None))
-        for engine in engines:
-            if engine is None:
-                continue
-            for key, value in engine.counters().items():
-                out[key] = out.get(key, 0) + value
-        return out
+        """Tracing-JIT counters summed over every core: the ``jit.*``
+        slice of :meth:`StatRegistry.observed_totals`, which the
+        parity-pinned snapshot never includes."""
+        totals = self.stats.observed_totals()
+        return {k: v for k, v in totals.items() if k.startswith("jit.")}
 
     # -- program lifecycle ----------------------------------------------------------
 

@@ -10,7 +10,8 @@ bounded buffers.  Three building blocks:
 with an explicit ``pid`` field (``None`` marks a *device-scoped* event
 such as a PCIe transaction that belongs to no task).  Events live in a
 bounded ring: when full, the *oldest* event is evicted and the eviction
-is counted in :attr:`MigrationTrace.dropped` — truncation is queryable,
+is counted in :attr:`MigrationTrace.dropped` (``trace.dropped`` in the
+stat registry's observed tier) — truncation is queryable,
 never silent, and downstream analyses refuse or warn instead of
 computing on partial data.
 
@@ -45,6 +46,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Deque, Dict, IO, List, Optional, Union
+
+from repro.sim.stats import StatRegistry
 
 __all__ = [
     "TraceEvent",
@@ -175,10 +178,18 @@ class MigrationTrace:
     The event ring keeps the most recent ``limit`` events; completed
     spans keep the most recent ``span_limit``.  Evictions increment
     :attr:`dropped` / :attr:`spans_dropped` so consumers can tell a
-    complete trace from a windowed one (:attr:`truncated`).
+    complete trace from a windowed one (:attr:`truncated`).  Those two
+    and :attr:`span_anomalies` are the ``trace.*`` counters of
+    ``stats``'s observed tier.
     """
 
-    def __init__(self, sim, limit: int = 100_000, span_limit: int = 100_000):
+    def __init__(
+        self,
+        sim,
+        limit: int = 100_000,
+        span_limit: int = 100_000,
+        stats: Optional[StatRegistry] = None,
+    ):
         self.sim = sim
         self.limit = limit
         self.span_limit = span_limit
@@ -190,12 +201,10 @@ class MigrationTrace:
         self._finished_spans: Deque[Span] = deque()
         self._stacks: Dict[Optional[int], List[Span]] = {}
         self._open_handles: List[Span] = []  # stack-free device spans
-        self.dropped = 0
-        self.spans_dropped = 0
-        #: lifecycle violations: a handle closed twice, or a close on a
-        #: handle this trace never tracked (evicted or foreign).  Always
-        #: a bug in the emitter — surfaced in exports, never silent.
-        self.span_anomalies = 0
+        stats = stats if stats is not None else StatRegistry()
+        self._dropped = stats.observed_counter("trace.dropped")
+        self._spans_dropped = stats.observed_counter("trace.spans_dropped")
+        self._span_anomalies = stats.observed_counter("trace.span_anomalies")
         #: request-scoped causal tracing (docs/OBSERVABILITY.md): when
         #: enabled, every span/event emitted by a pid with a registered
         #: context is decorated with ``trace_id`` plus ``span_id`` /
@@ -306,12 +315,29 @@ class MigrationTrace:
             self._decorate(pid, attrs, span=False)
         if len(self._events) >= self.limit:
             self._events.popleft()
-            self.dropped += 1
+            self._dropped.value += 1
         self._events.append(TraceEvent(self.sim.now, name, pid, attrs))
 
     @property
     def events(self) -> List[TraceEvent]:
         return list(self._events)
+
+    @property
+    def dropped(self) -> int:
+        """Events the ring evicted."""
+        return self._dropped.value
+
+    @property
+    def spans_dropped(self) -> int:
+        """Completed spans the span ring evicted."""
+        return self._spans_dropped.value
+
+    @property
+    def span_anomalies(self) -> int:
+        """Lifecycle violations: a handle closed twice, or a close on a
+        handle this trace never tracked (evicted or foreign).  Always a
+        bug in the emitter — surfaced in exports, never silent."""
+        return self._span_anomalies.value
 
     @property
     def truncated(self) -> bool:
@@ -384,7 +410,7 @@ class MigrationTrace:
         if span is None:
             return None
         if span.end is not None:
-            self.span_anomalies += 1
+            self._span_anomalies.value += 1
             return span
         try:
             self._open_handles.remove(span)
@@ -392,7 +418,7 @@ class MigrationTrace:
             # Not a handle we are tracking: close it anyway (the caller
             # holds a real Span and the duration is still meaningful)
             # but flag the lifecycle violation.
-            self.span_anomalies += 1
+            self._span_anomalies.value += 1
         span.end = self.sim.now
         span.attrs.update(attrs)
         self._finish(span)
@@ -401,7 +427,7 @@ class MigrationTrace:
     def _finish(self, span: Span) -> None:
         if len(self._finished_spans) >= self.span_limit:
             self._finished_spans.popleft()
-            self.spans_dropped += 1
+            self._spans_dropped.value += 1
         self._finished_spans.append(span)
 
     def finished_spans(

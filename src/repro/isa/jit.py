@@ -128,11 +128,10 @@ class JitEngine:
 
     Created by :class:`repro.isa.interpreter.Interpreter` when the tier
     is enabled and the memory port supports it (see
-    :meth:`for_interpreter`).  All bookkeeping lives in plain attributes
-    — deliberately *outside* :class:`repro.sim.stats.StatRegistry`, so
-    the tier stays invisible to the parity-pinned stat snapshot; the
-    metrics layer and ``python -m repro profile`` surface them through
-    :meth:`counters` instead.
+    :meth:`for_interpreter`).  Its ``jit.*`` counts live in the
+    registry's observed tier, scoped by the core's name (e.g.
+    ``nxp.core.jit.compiled_blocks``), so the parity-pinned snapshot
+    never sees whether the tier ran.
     """
 
     def __init__(self, itp, style: str, hot_threshold: int, max_superblock: int, trace=None):
@@ -147,13 +146,14 @@ class JitEngine:
         self._blocks: Dict[int, Superblock] = {}
         self._cold: set = set()
         self._spaces: Dict[object, tuple] = {}
-        # Observability sidecar (not StatRegistry; see class docstring).
-        self.compiled_blocks = 0
-        self.block_exec_total = 0
-        self.block_inst_total = 0
-        self.block_sim_ns = 0.0
-        self.invalidations = 0
-        self.bailouts: Dict[str, int] = {}
+        stats = itp.stats
+        core = itp.name
+        self._c_compiled = stats.observed_counter("jit.compiled_blocks", core)
+        self._c_exec = stats.observed_counter("jit.block_exec_total", core)
+        self._c_inst = stats.observed_counter("jit.block_inst_total", core)
+        self._c_sim_ns = stats.observed_counter("jit.block_sim_ns", core)
+        self._c_sim_ns.value += 0.0  # a float sum of simulated ns, 0.0 while idle
+        self._c_invalidations = stats.observed_counter("jit.invalidations", core)
         try:
             from repro.core.stubs import STUB_PCS
 
@@ -216,27 +216,15 @@ class JitEngine:
         if self._blocks or self._cold:
             self._blocks.clear()
             self._cold.clear()
-            self.invalidations += 1
+            self._c_invalidations.value += 1
             if reason in BAILOUT_REASONS:
                 self._note_bail(reason)
             if self.trace is not None:
                 self.trace.record("jit_invalidate", reason=reason, cpu=self.itp.name)
 
     def _note_bail(self, reason: str) -> None:
-        self.bailouts[reason] = self.bailouts.get(reason, 0) + 1
-
-    def counters(self) -> Dict[str, float]:
-        """Flat counter dict for the metrics layer / profile output."""
-        out: Dict[str, float] = {
-            "jit.compiled_blocks": self.compiled_blocks,
-            "jit.block_exec_total": self.block_exec_total,
-            "jit.block_inst_total": self.block_inst_total,
-            "jit.block_sim_ns": self.block_sim_ns,
-            "jit.invalidations": self.invalidations,
-        }
-        for reason, count in sorted(self.bailouts.items()):
-            out[f"jit.bailouts.{reason}"] = count
-        return out
+        itp = self.itp
+        itp.stats.observed_counter(f"jit.bailouts.{reason}", itp.name).value += 1
 
     # -- compilation -------------------------------------------------------
 
@@ -282,7 +270,7 @@ class JitEngine:
                 return nisa.decode(raw, pc)
             except (IllegalInstruction, MisalignedFetch):
                 # Undecodable bytes on an executable page: legitimately
-                # refuse to compile, but leave a sidecar mark — a storm
+                # refuse to compile, but count the bailout — a storm
                 # of these means the profile is steering the JIT at data.
                 # Anything else (a TypeError, an IndexError in decode)
                 # is an interpreter bug and must propagate.
@@ -309,7 +297,7 @@ class JitEngine:
             self._cold.add(entry)
             return
         self._blocks[entry] = block
-        self.compiled_blocks += 1
+        self._c_compiled.value += 1
         if self.trace is not None:
             self.trace.record(
                 "jit_compile",
@@ -594,13 +582,15 @@ class JitEngine:
         c_store = port._c_store
         rwrite = itp.regs.write
         counter = itp._inst_counter
+        c_block_inst = self._c_inst
+        c_block_ns = self._c_sim_ns
         sleep_until = sim.sleep_until
         ops = block.ops
         nops = len(ops)
         gen = block.gen
         entry = block.entry
 
-        self.block_exec_total += 1
+        self._c_exec.value += 1
         t = sim.now
         t0 = t
         pauses = 0
@@ -620,8 +610,8 @@ class JitEngine:
                 if probed is None or not probed.nx:
                     itp.pc = pc_i
                     counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
+                    c_block_inst.value += n
+                    c_block_ns.value += t - t0
                     self._note_bail("itlb")
                     if pauses:
                         sim.credit_events(pauses - 1)
@@ -638,8 +628,8 @@ class JitEngine:
                     # I-cache miss: flush, then the port's own fill path
                     # (TLB-hit pause + cross-PCIe line fill, all real events).
                     counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
+                    c_block_inst.value += n
+                    c_block_ns.value += t - t0
                     n = 0
                     if pauses:
                         sim.credit_events(pauses - 1)
@@ -658,8 +648,8 @@ class JitEngine:
                     except BaseException:
                         itp.pc = pc_i
                         counter.value += n
-                        self.block_inst_total += n
-                        self.block_sim_ns += t - t0
+                        c_block_inst.value += n
+                        c_block_ns.value += t - t0
                         self._note_bail("fault")
                         sim.credit_events(pauses - 1)
                         yield sleep_until(t)
@@ -672,8 +662,8 @@ class JitEngine:
                         i = idx
                     elif idx == LOOP_RESTART:
                         counter.value += n
-                        self.block_inst_total += n
-                        self.block_sim_ns += t - t0
+                        c_block_inst.value += n
+                        c_block_ns.value += t - t0
                         n = 0
                         sim.credit_events(pauses - 1)
                         yield sleep_until(t)
@@ -720,8 +710,8 @@ class JitEngine:
                 # and any page fault are real, at a precise pc).
                 itp.pc = pc_i
                 counter.value += n
-                self.block_inst_total += n
-                self.block_sim_ns += t - t0
+                c_block_inst.value += n
+                c_block_ns.value += t - t0
                 n = 0
                 sim.credit_events(pauses - 1)
                 yield sleep_until(t)
@@ -765,8 +755,8 @@ class JitEngine:
                 # interpreter's slow path would.
                 itp.pc = pc_i
                 counter.value += n
-                self.block_inst_total += n
-                self.block_sim_ns += t - t0
+                c_block_inst.value += n
+                c_block_ns.value += t - t0
                 n = 0
                 sim.credit_events(pauses - 1)
                 yield sleep_until(t)
@@ -796,8 +786,8 @@ class JitEngine:
                     # and the link traffic are real, at a precise pc).
                     itp.pc = pc_i
                     counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
+                    c_block_inst.value += n
+                    c_block_ns.value += t - t0
                     n = 0
                     sim.credit_events(pauses - 1)
                     yield sleep_until(t)
@@ -832,8 +822,8 @@ class JitEngine:
                     # faults exactly as the interpreter's slow path would.
                     itp.pc = pc_i
                     counter.value += n
-                    self.block_inst_total += n
-                    self.block_sim_ns += t - t0
+                    c_block_inst.value += n
+                    c_block_ns.value += t - t0
                     n = 0
                     sim.credit_events(pauses - 1)
                     yield sleep_until(t)
@@ -858,8 +848,8 @@ class JitEngine:
                     pauses -= 1
                     n -= 1
                 counter.value += n
-                self.block_inst_total += n
-                self.block_sim_ns += t - t0
+                c_block_inst.value += n
+                c_block_ns.value += t - t0
                 n = 0
                 if pauses:
                     sim.credit_events(pauses - 1)
@@ -873,8 +863,8 @@ class JitEngine:
                 i = 0
         # Normal exit (fell off the end, guard taken, self-modify stop).
         counter.value += n
-        self.block_inst_total += n
-        self.block_sim_ns += t - t0
+        c_block_inst.value += n
+        c_block_ns.value += t - t0
         if pauses:
             sim.credit_events(pauses - 1)
             yield sleep_until(t)

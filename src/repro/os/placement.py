@@ -22,8 +22,8 @@ through a pluggable policy:
     migrators.  Models stack/BRAM affinity: re-placing a task on its
     stack's home device avoids cross-device stack reallocation.
 
-Placement bookkeeping lives in a **sidecar** counter dict (like the JIT
-tier's) rather than the machine's :class:`StatRegistry`: the parity
+Placement bookkeeping (``placement.*``) lives in the observed tier of
+the machine's :class:`~repro.sim.stats.StatRegistry`: the parity
 contract pins base stats bit-identical across fleet sizes (a two-device
 static fleet equals the paper's one-device machine), so placement
 observability must stay out of that snapshot.
@@ -113,13 +113,11 @@ class PlacementLayer:
                 f"choose from {sorted(POLICIES)}"
             ) from None
         self.machine = machine
-        # Sidecar counters (see module docstring): pick.dev{i} per
-        # device, plus failover (re-placement after a dead pick) and
-        # exhausted (no live device left -> host fallback).
-        self.counters: Dict[str, int] = {}
-
-    def _count(self, key: str) -> None:
-        self.counters[key] = self.counters.get(key, 0) + 1
+        # Observed counters (see module docstring): pick.dev{i} per
+        # device, probe (a half-open breaker probe), failover
+        # (re-placement after a dead pick) and exhausted (no live
+        # device left -> host fallback).
+        self._count = machine.stats.count_observed
 
     def pick(self, task, exclude: FrozenSet[int] = frozenset()):
         """Choose a live device for a new session, or ``None`` when no
@@ -162,7 +160,8 @@ class PlacementLayer:
 
     def session_counts(self) -> Dict[int, int]:
         """Sessions placed per device index (for reports/tests)."""
-        out: Dict[int, int] = {}
-        for dev in self.machine.devices:
-            out[dev.index] = self.counters.get(f"placement.pick.dev{dev.index}", 0)
-        return out
+        tier = self.machine.stats.observed_snapshot()
+        return {
+            dev.index: tier.get(f"placement.pick.dev{dev.index}", 0)
+            for dev in self.machine.devices
+        }

@@ -19,7 +19,10 @@ accumulators are always on (they are part of every run's
 ``outcome.stats`` and of the fast-path parity contracts); gauges and
 histograms are the *metrics layer* and honor
 :attr:`StatRegistry.metrics_enabled` (``FlickConfig.metrics``), so a
-metrics-off run carries zero extra state.
+metrics-off run carries zero extra state.  A third tier of *observed*
+counters holds what may differ between runs the parity contracts call
+equal (JIT activity, placement picks, trace-ring pressure); no snapshot
+or delta ever includes it.
 
 Quantile helpers: :func:`percentile` is the historical nearest-rank
 estimator; :func:`quantile` adds the linearly-interpolated method (the
@@ -338,7 +341,7 @@ class StatRegistry:
     behaviour (e.g. TLB miss counts, DMA transfers, migration counts)
     without plumbing objects everywhere.
 
-    Two tiers:
+    Three tiers:
 
     * **base** — counters and accumulators: always recorded, part of
       every ``outcome.stats`` and of the fast-path/batching parity
@@ -347,7 +350,11 @@ class StatRegistry:
       gated by :attr:`metrics_enabled` (``FlickConfig.metrics``).  When
       disabled, :meth:`observe` and :meth:`set_gauge` are no-ops and
       register nothing, so the snapshot of a metrics-off run contains
-      exactly the base tier.
+      exactly the base tier;
+    * **observed** — parity-exempt counters (:meth:`observed_counter`):
+      always recorded, read only through :meth:`observed_snapshot` and
+      :meth:`observed_totals`, never through :meth:`snapshot`,
+      :meth:`base_snapshot` or :meth:`delta`.
     """
 
     def __init__(self, metrics_enabled: bool = True) -> None:
@@ -356,6 +363,9 @@ class StatRegistry:
         self.gauges: Dict[str, Gauge] = {}
         self.accumulators: Dict[str, Accumulator] = {}
         self.histograms: Dict[str, Histogram] = {}
+        #: the observed tier, keyed ``scope.name`` (bare ``name`` when
+        #: unscoped); each counter's ``name`` is its unscoped name
+        self.observed: Dict[str, Counter] = {}
 
     # -- family accessors -----------------------------------------------------
 
@@ -400,6 +410,37 @@ class StatRegistry:
     def get(self, name: str, default: int = 0) -> int:
         c = self.counters.get(name)
         return c.value if c else default
+
+    # -- observed tier ----------------------------------------------------------
+
+    def observed_counter(self, name: str, scope: Optional[str] = None) -> Counter:
+        """The observed-tier counter ``name``, created at zero on first use.
+
+        ``scope`` (a core's name, say) keeps one counter per scope under
+        the key ``scope.name``; :meth:`observed_totals` sums the scopes
+        back into ``name``.  Hot paths bind the returned counter and add
+        to its ``value`` directly.
+        """
+        key = f"{scope}.{name}" if scope else name
+        c = self.observed.get(key)
+        if c is None:
+            c = self.observed[key] = Counter(name)
+        return c
+
+    def count_observed(self, name: str, n: int = 1) -> None:
+        self.observed_counter(name).value += n
+
+    def observed_snapshot(self) -> Dict[str, float]:
+        """Every observed counter by key, scoped keys kept apart."""
+        return {k: c.value for k, c in self.observed.items()}
+
+    def observed_totals(self) -> Dict[str, float]:
+        """Every observed counter by name, summed over scopes: the view
+        reports and exporters publish."""
+        out: Dict[str, float] = {}
+        for c in self.observed.values():
+            out[c.name] = out.get(c.name, 0) + c.value
+        return out
 
     # -- snapshots ------------------------------------------------------------
 

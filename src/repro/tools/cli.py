@@ -47,7 +47,7 @@ mixes) against one simulated machine per offered-QPS point and prints
 the latency-vs-load table — p50/p95/p99 session latency with queueing
 delay included, achieved vs offered throughput, per-device utilization,
 and the saturation point (docs/OBSERVABILITY.md's serving-metrics
-section); ``--out`` lands the curve as ``flick.serving.v1`` JSON,
+section); ``--out`` lands the curve as ``flick.serving.v2`` JSON,
 ``--format openmetrics`` emits scrape-ready series, and ``--tolerance``
 turns the achieved/offered ratio into an exit-code gate (the CI smoke);
 ``--nxps``/``--policy`` serve against a multi-NxP machine (docs/FLEET.md);
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stdout format (default: table)",
     )
     serve_p.add_argument(
-        "--out", default=None, help="also write the flick.serving.v1 JSON report here"
+        "--out", default=None, help="also write the flick.serving.v2 JSON report here"
     )
     serve_p.add_argument(
         "--tolerance",
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stdout format (default: table)",
     )
     fleet_p.add_argument(
-        "--out", default=None, help="also write the flick.fleet.v1 JSON report here"
+        "--out", default=None, help="also write the flick.fleet.v2 JSON report here"
     )
     fleet_p.add_argument(
         "--gate",
@@ -614,15 +614,11 @@ def _cmd_profile(args, out) -> int:
                 unfinished[span.name] = unfinished.get(span.name, 0) + 1
             for name, count in sorted(unfinished.items()):
                 print(f"  {name:14s} n={count:4d} UNFINISHED", file=out)
-        if trace.span_anomalies:
-            print(f"  span anomalies: {trace.span_anomalies}", file=out)
         print(file=out)
-    jit = machine.jit_stats()
-    if jit.get("jit.compiled_blocks"):
-        print("jit tier:", file=out)
-        for key, value in sorted(jit.items()):
-            print(f"  {key} = {value:g}", file=out)
-        print(file=out)
+    print("observed (parity-exempt):", file=out)
+    for key, value in sorted(machine.stats.observed_totals().items()):
+        print(f"  {key} = {value}", file=out)
+    print(file=out)
     print("stats:", file=out)
     for key, value in sorted(outcome.stats.items()):
         print(f"  {key} = {value}", file=out)
@@ -744,10 +740,12 @@ def _warn_truncated(results, out) -> None:
     """Satellite of the tracing work: a bounded trace ring silently
     windows every span-derived number; say so out loud."""
     for r in results:
-        if r.trace_dropped or r.trace_spans_dropped:
+        dropped = r.observed["trace.dropped"]
+        spans_dropped = r.observed["trace.spans_dropped"]
+        if dropped or spans_dropped:
             print(
                 f"WARNING: @ {r.offered_qps:g} qps the trace ring dropped "
-                f"{r.trace_dropped} events / {r.trace_spans_dropped} spans; "
+                f"{dropped} events / {spans_dropped} spans; "
                 "utilization and critical paths cover a window of the run",
                 file=out,
             )

@@ -207,11 +207,17 @@ class TestRunReport:
 
     def test_json_is_valid_json_with_schema(self, report):
         doc = json.loads(render_json(report))
-        assert doc["schema"] == "flick.run_report.v1"
+        assert doc["schema"] == "flick.run_report.v2"
 
     def test_from_json_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             report_from_json({"schema": "something.else"})
+
+    def test_from_json_rejects_v1_documents(self, report):
+        doc = json.loads(render_json(report))
+        doc["schema"] = "flick.run_report.v1"
+        with pytest.raises(ValueError, match="flick.run_report.v1"):
+            report_from_json(doc)
 
 
 class TestOpenMetricsFormat:
@@ -276,6 +282,74 @@ class TestOpenMetricsFormat:
         assert _metric_name("9lives") == "flick__9lives"
 
 
+#: sample-name suffixes each OpenMetrics family type allows
+_FAMILY_SUFFIXES = {
+    "counter": ("_total", "_created"),
+    "gauge": ("",),
+    "summary": ("", "_sum", "_count", "_created"),
+    "histogram": ("_bucket", "_sum", "_count", "_created"),
+}
+
+
+def assert_openmetrics_structure(text):
+    """Each ``# TYPE`` name is unique, every sample belongs to the family
+    declared just above it, a ``# UNIT`` line only names a family whose
+    name ends in ``_<unit>``, and the text ends in ``# EOF``."""
+    assert text.endswith("\n# EOF\n")
+    declared = {}
+    family = None
+    for line in text.splitlines()[:-1]:
+        if line.startswith("# TYPE "):
+            _, _, family, kind = line.split(" ")
+            assert family not in declared, f"{family} declared twice"
+            declared[family] = kind
+        elif line.startswith("# UNIT "):
+            _, _, name, unit = line.split(" ")
+            assert name.endswith(f"_{unit}"), line
+        elif not line.startswith("#"):
+            sample = line.split("{")[0].split(" ")[0]
+            assert family is not None, line
+            allowed = {family + suffix for suffix in _FAMILY_SUFFIXES[declared[family]]}
+            assert sample in allowed, f"{line!r} outside family {family}"
+    return declared
+
+
+class TestOpenMetricsStructure:
+    def test_run_report_with_and_without_pid_series(self, report):
+        from dataclasses import replace
+
+        assert report.by_pid
+        for variant in (report, replace(report, by_pid={})):
+            declared = assert_openmetrics_structure(render_openmetrics(variant))
+            assert declared["flick_latency_h2n_session_ns"] == "histogram"
+            for family in (
+                "flick_jit_compiled_blocks",
+                "flick_placement_pick_dev0",
+                "flick_trace_dropped",
+                "flick_trace_spans_dropped",
+                "flick_trace_span_anomalies",
+            ):
+                assert declared[family] == "counter"
+
+    def test_serving_curve(self):
+        from repro.analysis.serving import (
+            TrafficConfig,
+            render_serving_openmetrics,
+            run_serving,
+        )
+
+        results = [
+            run_serving(TrafficConfig(scenario="null_call", qps=qps, requests=8, seed=3))
+            for qps in (1000.0, 4000.0)
+        ]
+        text = render_serving_openmetrics(results)
+        declared = assert_openmetrics_structure(text)
+        assert declared["flick_serving_latency_ns"] == "histogram"
+        assert declared["flick_trace_dropped"] == "counter"
+        assert declared["flick_trace_spans_dropped"] == "counter"
+        assert 'flick_trace_dropped_total{offered_qps="4000",scenario="null_call"} 0' in text
+
+
 class TestHistogramSummary:
     def test_empty_histogram_round_trips_via_null(self):
         from repro.sim.stats import Histogram
@@ -291,9 +365,9 @@ class TestHistogramSummary:
 
 
 class TestPlacementSidecar:
-    """Multi-NxP placement counters are parity-sensitive sidecars
-    (docs/ROBUSTNESS.md): they ride on the report next to ``stats``
-    without ever entering the pinned registry snapshot."""
+    """Multi-NxP placement counters are parity-sensitive (docs/ROBUSTNESS.md):
+    they ride on the report's observed tier next to ``stats`` without
+    ever entering the pinned registry snapshot."""
 
     @pytest.fixture(scope="class")
     def multi_report(self):
@@ -306,18 +380,19 @@ class TestPlacementSidecar:
         return build_run_report(machine)
 
     def test_placement_counters_on_report(self, multi_report):
-        assert multi_report.placement.get("placement.pick.dev0", 0) > 0
+        assert multi_report.observed.get("placement.pick.dev0", 0) > 0
         assert all(not k.startswith("placement.") for k in multi_report.stats)
 
     def test_placement_in_openmetrics_and_json(self, multi_report):
         text = render_openmetrics(multi_report)
         assert "flick_placement_pick_dev0_total" in text
         back = report_from_json(render_json(multi_report))
-        assert back.placement == multi_report.placement
+        assert back.observed == multi_report.observed
 
     def test_single_nxp_report_has_device_zero_placement(self, report):
         # A one-device machine is a fleet of one: every session is
         # placed on device 0, and the counters stay out of the stats.
-        assert set(report.placement) == {"placement.pick.dev0"}
+        placement = {k for k in report.observed if k.startswith("placement.")}
+        assert placement == {"placement.pick.dev0"}
         assert all(not k.startswith("placement.") for k in report.stats)
         assert "flick_placement_pick_dev0_total" in render_openmetrics(report)

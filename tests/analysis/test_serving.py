@@ -160,7 +160,7 @@ class TestServingRun:
 
     def test_trace_is_clean_after_run(self, quick_result):
         assert quick_result.open_spans == 0
-        assert quick_result.span_anomalies == 0
+        assert quick_result.observed["trace.span_anomalies"] == 0
 
     def test_utilization_fractions_sane(self, quick_result):
         assert set(quick_result.utilization) == {"host_core", "nxp", "dma"}
@@ -218,7 +218,7 @@ class TestReporting:
         import json
 
         doc = serving_report_doc([quick_result])
-        assert doc["schema"] == "flick.serving.v1"
+        assert doc["schema"] == "flick.serving.v2"
         clone = json.loads(json.dumps(doc))
         assert clone["points"][0]["p99_ns"] == quick_result.p99_ns
         assert clone["points"][0]["requests"] == QUICK.requests

@@ -290,7 +290,7 @@ class TestUnfinishedSpanExport:
         machine = self._machine_with_open_span()
         report = build_run_report(machine, allow_truncated=True)
         assert report.open_spans == 1
-        assert report.span_anomalies == 0
+        assert report.observed["trace.span_anomalies"] == 0
         # and the fields survive the JSON round trip
         again = report_from_json(render_json(report))
         assert again.open_spans == 1

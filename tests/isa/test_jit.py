@@ -29,6 +29,17 @@ def _host_engine(machine):
     return machine.threads[0].cpu._jit
 
 
+def _host_tier(machine):
+    """The first host core's ``jit.*`` counters from the observed tier,
+    keyed without the core scope."""
+    prefix = f"{machine.threads[0].cpu.name}.jit."
+    return {
+        key[len(prefix):]: value
+        for key, value in machine.stats.observed_snapshot().items()
+        if key.startswith(prefix)
+    }
+
+
 def _run(source, args, cfg):
     machine = FlickMachine(cfg)
     outcome = machine.run_program(source, args=args)
@@ -48,8 +59,9 @@ class TestHotDetection:
     def test_hot_loop_compiles_once(self):
         machine, _ = _run(COMPUTE_LOOP, [100], FlickConfig(jit_hot_threshold=5))
         engine = _host_engine(machine)
-        assert engine.compiled_blocks == 1
-        assert engine.block_exec_total >= 1
+        tier = _host_tier(machine)
+        assert tier["compiled_blocks"] == 1
+        assert tier["block_exec_total"] >= 1
         (block,) = engine._blocks.values()
         assert block.loop
         assert block.gen is not None
@@ -90,9 +102,10 @@ class TestInvalidation:
         assert engine._blocks
         machine.threads[0].cpu.invalidate_decode_cache()
         assert not engine._blocks
-        assert engine.invalidations == 1
+        tier = _host_tier(machine)
+        assert tier["invalidations"] == 1
         # An address-space switch is routine, not a bailout.
-        assert "switch" not in engine.bailouts
+        assert "bailouts.switch" not in tier
 
     def test_generation_bump_mid_run_invalidates(self):
         # Run the hot loop, then — from a concurrent simulated process —
@@ -115,10 +128,10 @@ class TestInvalidation:
             return machine, thread.result, thread.finished_at
 
         machine, retval, finished = run(FlickConfig(), poke_ns=5_000.0)
-        engine = _host_engine(machine)
-        assert engine.compiled_blocks >= 2  # recompiled after the drop
-        assert engine.invalidations >= 1
-        assert engine.bailouts.get("codegen", 0) >= 1
+        tier = _host_tier(machine)
+        assert tier["compiled_blocks"] >= 2  # recompiled after the drop
+        assert tier["invalidations"] >= 1
+        assert tier.get("bailouts.codegen", 0) >= 1
         off_machine, off_retval, off_finished = run(
             FlickConfig(jit_enabled=False), poke_ns=5_000.0
         )
@@ -140,7 +153,7 @@ class TestDecodeBailouts:
 
     ``_decode_at`` may legitimately hit bytes it cannot decode (the
     profile steering the JIT at data); that must refuse compilation and
-    bump the ``decode_error`` sidecar rather than crash the tier.  But
+    count a ``decode_error`` bailout rather than crash the tier.  But
     the guard is narrow by design: an exception that is *not* an
     architectural decode fault is an interpreter bug and must escape.
     """
@@ -149,21 +162,21 @@ class TestDecodeBailouts:
         machine, _ = _run(COMPUTE_LOOP, [100], FlickConfig(jit_hot_threshold=5))
         engine = _host_engine(machine)
         (entry,) = list(engine._blocks)
-        return engine, entry
+        return machine, engine, entry
 
     def test_undecodable_bytes_bail_with_sidecar(self, monkeypatch):
-        engine, pc = self._hot_engine()
+        machine, engine, pc = self._hot_engine()
 
         def refuse(raw, at):
             raise IllegalInstruction(at, raw[0])
 
         monkeypatch.setattr(jit_module.hisa, "decode", refuse)
         assert engine._decode_at(pc) is None
-        assert engine.bailouts.get("decode_error") == 1
-        assert engine.counters()["jit.bailouts.decode_error"] == 1
+        assert _host_tier(machine).get("bailouts.decode_error") == 1
+        assert machine.jit_stats()["jit.bailouts.decode_error"] == 1
 
     def test_decoder_bugs_propagate(self, monkeypatch):
-        engine, pc = self._hot_engine()
+        machine, engine, pc = self._hot_engine()
 
         def crash(raw, at):
             raise TypeError("decoder bug")
@@ -171,7 +184,7 @@ class TestDecodeBailouts:
         monkeypatch.setattr(jit_module.hisa, "decode", crash)
         with pytest.raises(TypeError):
             engine._decode_at(pc)
-        assert "decode_error" not in engine.bailouts
+        assert "bailouts.decode_error" not in _host_tier(machine)
 
 
 _OPS = st.sampled_from(["+", "-", "*"])

@@ -4,7 +4,7 @@ Policies are exercised against lightweight fake devices so each routing
 property is pinned in isolation: static pins the lowest live index,
 round-robin keeps its phase stable when devices leave and rejoin,
 least-loaded follows outstanding-session counts, and locality honours a
-task's stack-home device.  The layer-level tests cover the sidecar
+task's stack-home device.  The layer-level tests cover the observed-tier
 counters (pick/failover/exhausted) that the fleet report aggregates.
 """
 
@@ -18,6 +18,7 @@ from repro.os.placement import (
     RoundRobinPolicy,
     StaticPolicy,
 )
+from repro.sim.stats import StatRegistry
 
 
 class FakeDevice:
@@ -39,6 +40,7 @@ class FakeTask:
 class FakeMachine:
     def __init__(self, devices):
         self.devices = devices
+        self.stats = StatRegistry()
 
 
 def _devs(n, **kw):
@@ -104,16 +106,18 @@ class TestPlacementLayer:
     def test_pick_skips_dead_and_excluded_devices(self):
         devs = _devs(3)
         devs[0].alive = False
-        layer = PlacementLayer(FakeMachine(devs), "static")
+        machine = FakeMachine(devs)
+        layer = PlacementLayer(machine, "static")
         assert layer.pick(FakeTask()).index == 1
         assert layer.pick(FakeTask(), exclude=frozenset({1})).index == 2
-        assert layer.counters["placement.failover"] == 1
+        assert machine.stats.observed_snapshot()["placement.failover"] == 1
 
     def test_exhausted_returns_none_and_counts(self):
         devs = _devs(2, alive=False)
-        layer = PlacementLayer(FakeMachine(devs), "round_robin")
+        machine = FakeMachine(devs)
+        layer = PlacementLayer(machine, "round_robin")
         assert layer.pick(FakeTask()) is None
-        assert layer.counters["placement.exhausted"] == 1
+        assert machine.stats.observed_snapshot()["placement.exhausted"] == 1
 
     def test_session_counts_cover_every_device(self):
         devs = _devs(2)

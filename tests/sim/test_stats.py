@@ -249,3 +249,59 @@ class TestDelta:
         reg.sample("rt", 20.0)
         d = reg.delta(before)
         assert d["rt.total"] / d["rt.count"] == 15.0
+
+
+class TestObservedTier:
+    """Parity-exempt counters: always recorded, never in a snapshot."""
+
+    def _registry(self, metrics_enabled=True):
+        reg = StatRegistry(metrics_enabled=metrics_enabled)
+        reg.count("events", 2)
+        reg.sample("rt", 1.0)
+        reg.count_observed("trace.dropped", 3)
+        reg.observed_counter("jit.compiled_blocks", "host.main.t0").value += 4
+        reg.observed_counter("jit.compiled_blocks", "nxp.core").value += 1
+        return reg
+
+    def test_never_in_snapshot_base_snapshot_or_delta(self):
+        reg = self._registry()
+        before = reg.snapshot()
+        for view in (before, reg.base_snapshot(), reg.delta({})):
+            assert not any(k.startswith("trace.") or "jit." in k for k in view)
+        reg.count_observed("trace.dropped")
+        reg.observed_counter("jit.compiled_blocks", "nxp.core").value += 1
+        assert reg.delta(before) == {}
+
+    def test_recorded_with_metrics_off(self):
+        reg = self._registry(metrics_enabled=False)
+        assert reg.observed_snapshot() == {
+            "trace.dropped": 3,
+            "host.main.t0.jit.compiled_blocks": 4,
+            "nxp.core.jit.compiled_blocks": 1,
+        }
+
+    def test_totals_sum_over_scopes(self):
+        reg = self._registry()
+        assert reg.observed_totals() == {"trace.dropped": 3, "jit.compiled_blocks": 5}
+        assert reg.observed_counter("jit.compiled_blocks", "nxp.core") is (
+            reg.observed_counter("jit.compiled_blocks", "nxp.core")
+        )
+
+    def test_jit_on_and_off_runs_differ_only_in_jit_counters(self):
+        from repro.analysis.simspeed import COMPUTE_LOOP
+        from repro.core.config import FlickConfig
+        from repro.core.machine import FlickMachine
+
+        tiers = []
+        snapshots = []
+        for jit in (True, False):
+            machine = FlickMachine(FlickConfig(jit_enabled=jit))
+            machine.run_program(COMPUTE_LOOP, args=[200])
+            snapshots.append(machine.stats.snapshot())
+            tiers.append(machine.stats.observed_snapshot())
+        on, off = tiers
+        assert snapshots[0] == snapshots[1]
+        assert on["host.main.t0.jit.compiled_blocks"] > 0
+        differing = {k for k in on.keys() | off.keys() if on.get(k) != off.get(k)}
+        assert differing and all(".jit." in k for k in differing)
+        assert not any(".jit." in k for k in off)

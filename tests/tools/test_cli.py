@@ -1,15 +1,14 @@
 """CLI tests (python -m repro)."""
 
 import io
+from pathlib import Path
 
 import pytest
 
 from repro.tools.cli import build_parser, main
 
-DEMO = """
-@nxp func near(x) { return x * 2; }
-func main(a) { print(near(a)); return near(a) + 1; }
-"""
+#: the two-function demo CI also runs every file-taking command on
+DEMO = (Path(__file__).parents[2] / "examples" / "demo.fc").read_text()
 
 
 @pytest.fixture
