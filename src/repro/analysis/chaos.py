@@ -1,9 +1,12 @@
-"""Chaos harness: run workloads under seeded fault plans and classify.
+"""Chaos harness: named scenarios under seeded faults, kills and overload.
 
-This is the driver behind ``python -m repro chaos`` and the chaos-matrix
-tests.  Each case arms one :class:`~repro.sim.faults.FaultPlan` on a
-fresh machine, runs a fixed workload with a **simulated-time bound**,
-and classifies the terminal state against a golden faults-off run:
+``python -m repro chaos``, the chaos-matrix tests and the fleet's kill
+drill all run through this module.  A :class:`Scenario` names one case:
+a workload, a :class:`~repro.sim.faults.FaultPlan`, a device count, kill
+and revive instants and, for ``serving``, the traffic.
+:func:`run_scenario` runs it on a fresh machine with a **simulated-time
+bound**, and one classifier turns the terminal state into a
+:class:`ChaosResult` judged against a golden faults-off run:
 
 ============  =====================================================
 ``survived``  Correct return value, no degraded (host-fallback)
@@ -13,50 +16,64 @@ and classifies the terminal state against a golden faults-off run:
 ``crashed``   The workload raised a typed :class:`ProcessCrash`
               (e.g. the NxP died mid-migration-session).
 ``hung``      The workload neither finished nor crashed within the
-              sim-time bound.  Always a bug: the watchdog/retry/
-              fallback ladder must produce one of the above.
-``mismatch``  Finished, but with the wrong return value.  Always a
+              sim-time bound, or a revived device never served
+              again or ended the run DEAD.  Always a bug: the
+              watchdog/retry/fallback ladder must produce one of
+              the other verdicts.
+``mismatch``  Finished, but with a wrong return value.  Always a
               bug: corruption must never survive the checksum.
-``shed``      Overload cases only: every request either completed
-              correctly or was rejected with a *typed* admission
-              shed — the overload-protection contract
-              (docs/ROBUSTNESS.md).
-``recovered`` Revive cases only: a killed device was revived, passed
-              its half-open breaker probes, and served traffic again
-              while the workload completed correctly.
+``shed``      Every request either completed correctly or was
+              rejected with a *typed* admission shed — the
+              overload-protection contract (docs/ROBUSTNESS.md).
+``recovered`` A killed device was revived, served sessions again and
+              ended the run out of the DEAD state (its half-open
+              probes did not re-trip the breaker), while the workload
+              completed correctly.
 ============  =====================================================
 
-Both execution modes are exercised: ``null_call`` is an interpreted
-FlickC migration loop; ``pointer_chase`` is a hosted-mode traversal of
-a linked list in NxP DRAM whose return value (the final node address)
-is data-dependent, so silent corruption cannot hide.
+Three workloads: ``null_call`` is an interpreted FlickC migration loop;
+``pointer_chase`` is a hosted-mode traversal of a linked list in NxP
+DRAM whose return value (the final node address) is data-dependent, so
+silent corruption cannot hide; ``serving`` is open-loop traffic through
+:func:`~repro.analysis.serving.run_serving`, judged per request against
+each profile's golden value.  :func:`matrix_scenarios` crosses the
+builtin plans with the two closed-loop workloads; :func:`named_scenarios`
+holds the hand-aimed cases beside them.
 
 Everything is deterministic: plans are seeded, workloads are fixed, and
-the machine has no wall-clock inputs — a matrix run is replayable.
+the machine has no wall-clock inputs — every scenario is replayable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.analysis.serving import (
+    ServingResult,
+    TrafficConfig,
+    armed_for_kill,
+    check_kill,
+    run_serving,
+    schedule_kill,
+)
 from repro.core.config import DEFAULT_CONFIG, FlickConfig
 from repro.core.errors import ProcessCrash, WorkloadHung
 from repro.core.hosted import HostedMachine, HostedProgram
 from repro.core.machine import FlickMachine, signed_retval
 from repro.sim.engine import Deadlock, SimulationError
-from repro.sim.faults import FaultPlan, FaultRule, builtin_plans
+from repro.sim.faults import FaultPlan, builtin_plans
 from repro.workloads.pointer_chase import build_chain
 
 __all__ = [
     "ChaosResult",
+    "Scenario",
     "WORKLOADS",
     "DEFAULT_BOUND_NS",
-    "run_chaos_case",
+    "matrix_scenarios",
+    "named_scenarios",
+    "run_scenario",
     "run_chaos_matrix",
-    "run_fleet_kill_case",
-    "run_fleet_revive_case",
-    "run_overload_storm_case",
     "render_verdicts",
 ]
 
@@ -79,12 +96,67 @@ func main(n) {
 CHASE_NODES = 24
 CHASE_CALLS = 3
 
+#: The device a closed-loop kill scenario kills.
+KILL_DEVICE = 0
+#: Leg watchdog of a closed-loop kill: one workload never queues behind
+#: itself, so a watchdog trip really does mean a lost leg.
+PROBE_WATCHDOG_NS = 50_000.0
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One named chaos case, fully specified (frozen, picklable).
+
+    A closed-loop workload runs one process for ``iters`` calls (the
+    pointer chase always makes ``CHASE_CALLS``) on ``devices`` NxPs,
+    placed round robin when there are several.  ``kill_at_ns`` kills
+    device ``KILL_DEVICE`` in ``kill_mode`` that far into the run, and
+    ``revive_at_ns`` revives it; kills run the ``null_call`` probe.  A
+    ``serving`` scenario takes its load, machine shape, kill and revive
+    from ``traffic`` instead.  ``overrides`` are extra ``FlickConfig``
+    fields, as ``(name, value)`` pairs applied last.
+    """
+
+    name: str
+    workload: str = "null_call"  # null_call | pointer_chase | serving
+    plan: FaultPlan = FaultPlan()
+    devices: int = 1
+    kill_at_ns: Optional[float] = None
+    kill_mode: str = "abrupt"  # abrupt | drain
+    revive_at_ns: Optional[float] = None
+    iters: int = NULL_CALL_ITERS
+    traffic: Optional[TrafficConfig] = None
+    overrides: Tuple[Tuple[str, object], ...] = ()
+
+    def validate(self) -> None:
+        if self.workload == "serving":
+            if self.traffic is None:
+                raise ValueError("a serving scenario needs traffic")
+            if (self.devices, self.kill_at_ns, self.revive_at_ns) != (1, None, None):
+                raise ValueError(
+                    "a serving scenario takes its devices, kill and revive "
+                    "from its traffic"
+                )
+            self.traffic.validate()
+            return
+        if self.workload not in WORKLOADS:
+            raise ValueError(
+                f"unknown workload {self.workload!r} (know {sorted(WORKLOADS)})"
+            )
+        if self.traffic is not None:
+            raise ValueError("only a serving scenario takes traffic")
+        if self.kill_at_ns is not None and self.workload != "null_call":
+            raise ValueError("a kill scenario runs the null_call probe")
+        check_kill(
+            self.devices, KILL_DEVICE, self.kill_at_ns, self.kill_mode, self.revive_at_ns
+        )
+
 
 @dataclass(frozen=True)
 class ChaosResult:
-    """Terminal classification of one (plan, workload) chaos case."""
+    """Terminal classification of one scenario."""
 
-    plan: str
+    plan: str  # the scenario's name
     workload: str
     verdict: str  # survived | degraded | crashed | hung | mismatch | shed | recovered
     retval: Optional[int]
@@ -93,6 +165,9 @@ class ChaosResult:
     degraded_calls: int
     faults_fired: int
     detail: str = ""
+    #: the serving run behind a ``serving`` verdict (None otherwise, and
+    #: when the run did not finish); not part of equality
+    serving: Optional[ServingResult] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -102,30 +177,40 @@ class ChaosResult:
 
 @dataclass
 class _Probe:
-    """Raw terminal state of one bounded run, before classification."""
+    """Raw terminal state of one run, before classification."""
 
-    retval: Optional[int]
     done: bool
     sim_ns: float
-    degraded_calls: int
-    faults_fired: int
+    degraded_calls: int = 0
+    retval: Optional[int] = None
+    faults_fired: int = 0
     crash: Optional[ProcessCrash] = None
+    #: why a run that neither finished nor crashed stopped
+    error: str = ""
+    served: Optional[ServingResult] = None
+    #: revive runs only: (devices revived, post-revive sessions placed
+    #: on the killed device, its final health state)
+    revive: Optional[Tuple[int, int, str]] = None
 
 
-def _bounded_null_call(
-    cfg: FlickConfig,
-    bound_ns: float,
-    iters: int = NULL_CALL_ITERS,
-    chaos: Optional[Callable[[FlickMachine], Generator]] = None,
-) -> Tuple[_Probe, FlickMachine]:
-    """Run ``NULL_CALL_SRC`` for ``iters`` calls up to the sim-time bound,
-    with ``chaos(machine)`` spawned alongside when given; returns the
-    probe and the finished machine."""
+def _machine_probe(machine: FlickMachine, **fields) -> _Probe:
+    return _Probe(
+        degraded_calls=int(machine.stats.snapshot().get("degraded.calls", 0)),
+        faults_fired=machine.injector.fired_total if machine.injector else 0,
+        **fields,
+    )
+
+
+def _run_null_call(scenario: Scenario, cfg: FlickConfig, bound_ns: float) -> _Probe:
+    """Interpreted mode: a loop of NISA migrations accumulating state."""
     machine = FlickMachine(cfg)
     process = machine.load(machine.compile(NULL_CALL_SRC))
-    thread = machine.spawn(process, args=[iters])
-    if chaos is not None:
-        machine.sim.spawn(chaos(machine), name="chaos")
+    thread = machine.spawn(process, args=[scenario.iters])
+    if scenario.kill_at_ns is not None:
+        after_kill = schedule_kill(
+            machine, KILL_DEVICE, scenario.kill_at_ns, scenario.kill_mode,
+            scenario.revive_at_ns,
+        )
     crash = None
     try:
         machine.sim.run(until=bound_ns)
@@ -140,21 +225,22 @@ def _bounded_null_call(
         else:
             raise
     done = thread.task.state.value == "done"
-    stats = machine.stats.snapshot()
-    probe = _Probe(
-        retval=signed_retval(thread.result) if done else None,
+    revive = None
+    if scenario.revive_at_ns is not None:
+        sessions, health = after_kill()
+        revive = (
+            int(machine.stats.snapshot().get("nxp.revived", 0)),
+            sessions.get(KILL_DEVICE, 0),
+            health,
+        )
+    return _machine_probe(
+        machine,
         done=done,
+        retval=signed_retval(thread.result) if done else None,
         sim_ns=thread.finished_at if thread.finished_at is not None else machine.sim.now,
-        degraded_calls=int(stats.get("degraded.calls", 0)),
-        faults_fired=machine.injector.fired_total if machine.injector else 0,
         crash=crash,
+        revive=revive,
     )
-    return probe, machine
-
-
-def _run_null_call(cfg: FlickConfig, bound_ns: float) -> _Probe:
-    """Interpreted mode: a loop of NISA migrations accumulating state."""
-    return _bounded_null_call(cfg, bound_ns)[0]
 
 
 def _chase_program() -> HostedProgram:
@@ -182,80 +268,102 @@ def _chase_program() -> HostedProgram:
     return prog
 
 
-def _run_pointer_chase(cfg: FlickConfig, bound_ns: float) -> _Probe:
+def _run_pointer_chase(scenario: Scenario, cfg: FlickConfig, bound_ns: float) -> _Probe:
     """Hosted mode: chase a list in NxP DRAM, return the final node."""
     hosted = HostedMachine(_chase_program(), cfg=cfg)
     head = build_chain(hosted, CHASE_NODES, seed=11)
-    machine = hosted.machine
-    crash = None
-    done = False
-    retval: Optional[int] = None
-    sim_ns = 0.0
     try:
         out = hosted.run("main", [head, CHASE_NODES - 1, CHASE_CALLS], until=bound_ns)
-        # Hosted outcomes carry the raw u64 return register; apply the
-        # same two's-complement fixup as the interpreted probe so a
-        # body that legitimately returns a negative value classifies
-        # against its golden run instead of reading as a huge positive.
-        retval = signed_retval(out.retval)
-        sim_ns = out.sim_time_ns
-        done = True
     except WorkloadHung:
-        sim_ns = hosted.sim.now
+        return _machine_probe(hosted.machine, done=False, sim_ns=hosted.sim.now)
     except SimulationError as exc:
-        if isinstance(exc.__cause__, ProcessCrash):
-            crash = exc.__cause__
-            sim_ns = hosted.sim.now
-        else:
+        if not isinstance(exc.__cause__, ProcessCrash):
             raise
-    stats = machine.stats.snapshot()
-    return _Probe(
-        retval=retval,
-        done=done,
-        sim_ns=sim_ns,
-        degraded_calls=int(stats.get("degraded.calls", 0)),
-        faults_fired=machine.injector.fired_total if machine.injector else 0,
-        crash=crash,
+        return _machine_probe(
+            hosted.machine, done=False, sim_ns=hosted.sim.now, crash=exc.__cause__
+        )
+    # Hosted outcomes carry the raw u64 return register; apply the same
+    # two's-complement fixup as the interpreted probe so a body that
+    # legitimately returns a negative value classifies against its
+    # golden run instead of reading as a huge positive.
+    return _machine_probe(
+        hosted.machine, done=True, retval=signed_retval(out.retval), sim_ns=out.sim_time_ns
     )
 
 
+#: The closed-loop workloads the matrix crosses with every plan.
 WORKLOADS = {
     "null_call": _run_null_call,
     "pointer_chase": _run_pointer_chase,
 }
 
 
-def _classify(probe: _Probe, expected: Optional[int]) -> tuple:
+def _run_serving(scenario: Scenario, cfg: FlickConfig, bound_ns: float) -> _Probe:
+    """Open-loop traffic, run to quiescence (no sim-time bound)."""
+    tc = scenario.traffic
+    try:
+        served = run_serving(tc, cfg=cfg)
+    except RuntimeError as exc:  # unserved requests, or a SimulationError
+        crash = exc.__cause__ if isinstance(exc.__cause__, ProcessCrash) else None
+        return _Probe(done=False, sim_ns=0.0, crash=crash, error=str(exc))
+    revive = None
+    if tc.revive_at_ns is not None:
+        revive = (
+            served.revived,
+            served.post_revival_sessions.get(tc.kill_device, 0),
+            served.killed_health,
+        )
+    return _Probe(
+        done=True,
+        sim_ns=served.sim_ns,
+        degraded_calls=served.degraded_calls,
+        served=served,
+        revive=revive,
+    )
+
+
+def _classify(scenario: Scenario, probe: _Probe, expected: Optional[int]) -> ChaosResult:
+    """The one classifier: every runner's terminal state becomes one verdict."""
+    served = probe.served
     if probe.crash is not None:
-        return "crashed", str(probe.crash)
-    if not probe.done:
-        return "hung", "sim-time bound reached without completion or crash"
-    if expected is not None and probe.retval != expected:
-        return "mismatch", f"retval {probe.retval} != expected {expected}"
-    if probe.degraded_calls:
-        return "degraded", f"{probe.degraded_calls} call(s) via host fallback"
-    return "survived", ""
-
-
-def run_chaos_case(
-    plan: FaultPlan,
-    workload: str,
-    cfg: FlickConfig = DEFAULT_CONFIG,
-    bound_ns: float = DEFAULT_BOUND_NS,
-    expected: Optional[int] = None,
-) -> ChaosResult:
-    """Run one (plan, workload) case and classify its terminal state.
-
-    ``expected`` is the golden faults-off return value; pass ``None``
-    to skip the mismatch check (the matrix driver always supplies it).
-    """
-    if workload not in WORKLOADS:
-        raise ValueError(f"unknown workload {workload!r} (know {sorted(WORKLOADS)})")
-    probe = WORKLOADS[workload](plan.apply(cfg), bound_ns)
-    verdict, detail = _classify(probe, expected)
+        verdict, detail = "crashed", str(probe.crash)
+    elif not probe.done:
+        verdict = "hung"
+        detail = probe.error or "sim-time bound reached without completion or crash"
+    elif expected is not None and probe.retval != expected:
+        verdict, detail = "mismatch", f"retval {probe.retval} != expected {expected}"
+    elif served is not None and served.errors:
+        verdict, detail = "mismatch", f"{served.errors} completed request(s) wrong"
+    elif probe.revive is not None:
+        revived, sessions, health = probe.revive
+        # A post-revive session may be a half-open probe that failed and
+        # re-tripped the breaker, so the device must also end alive.
+        if revived and sessions > 0 and health != "dead":
+            verdict = "recovered"
+            detail = (
+                f"killed device revived, {sessions} post-revive session(s), "
+                f"health {health}"
+            )
+        else:
+            verdict = "hung"
+            detail = (
+                f"revive did not re-admit the killed device (revived={revived}, "
+                f"post-revive sessions={sessions}, health={health})"
+            )
+    elif served is not None and served.shed:
+        verdict = "shed"
+        detail = (
+            f"{served.shed} typed shed(s) {served.shed_by_reason}, "
+            f"{len(served.completed_records)} completed ok, "
+            f"retry budget denied {served.retry_budget_denied}"
+        )
+    elif probe.degraded_calls:
+        verdict, detail = "degraded", f"{probe.degraded_calls} call(s) via host fallback"
+    else:
+        verdict, detail = "survived", ""
     return ChaosResult(
-        plan=plan.name or "<unnamed>",
-        workload=workload,
+        plan=scenario.name,
+        workload=scenario.workload,
         verdict=verdict,
         retval=probe.retval,
         expected=expected,
@@ -263,7 +371,134 @@ def run_chaos_case(
         degraded_calls=probe.degraded_calls,
         faults_fired=probe.faults_fired,
         detail=detail,
+        serving=served,
     )
+
+
+def _machine_config(scenario: Scenario, cfg: FlickConfig) -> FlickConfig:
+    cfg = scenario.plan.apply(cfg)
+    if scenario.devices > 1:
+        cfg = cfg.with_overrides(nxp_count=scenario.devices, placement_policy="round_robin")
+    if scenario.kill_at_ns is not None and scenario.kill_mode == "abrupt":
+        cfg = armed_for_kill(
+            cfg, PROBE_WATCHDOG_NS, revive=scenario.revive_at_ns is not None
+        )
+    return cfg.with_overrides(**dict(scenario.overrides)) if scenario.overrides else cfg
+
+
+def _golden(scenario: Scenario, cfg: FlickConfig, bound_ns: float) -> int:
+    """The faults-off return value of a closed-loop scenario's workload.
+
+    A golden run that fails is a configuration error, not a chaos
+    verdict, and raises immediately.
+    """
+    plain = Scenario("golden", scenario.workload, iters=scenario.iters)
+    probe = WORKLOADS[scenario.workload](
+        plain, cfg.with_overrides(faults=(), fault_seed=0), bound_ns
+    )
+    if probe.crash is not None or not probe.done:
+        raise RuntimeError(f"golden faults-off run of {scenario.workload!r} did not complete")
+    return probe.retval
+
+
+def run_scenario(
+    scenario: Scenario,
+    cfg: FlickConfig = DEFAULT_CONFIG,
+    bound_ns: float = DEFAULT_BOUND_NS,
+    expected: Optional[int] = None,
+) -> ChaosResult:
+    """Run one scenario on a fresh machine and classify its terminal state.
+
+    ``cfg`` is the base machine config; the scenario's plan, kill arming
+    and overrides apply on top of it.  A closed-loop workload is judged
+    against ``expected``, by default the return value of a faults-off
+    run of the same workload.  A ``serving`` scenario is judged per
+    request against each profile's golden value and runs to quiescence.
+    """
+    scenario.validate()
+    if scenario.workload == "serving":
+        run, expected = _run_serving, None
+    else:
+        run = WORKLOADS[scenario.workload]
+        if expected is None:
+            expected = _golden(scenario, cfg, bound_ns)
+    probe = run(scenario, _machine_config(scenario, cfg), bound_ns)
+    return _classify(scenario, probe, expected)
+
+
+def matrix_scenarios(
+    seed: int = 0,
+    plans: Optional[Sequence[FaultPlan]] = None,
+    workloads: Optional[Iterable[str]] = None,
+) -> List[Scenario]:
+    """The chaos matrix: every plan (default: the builtin plans at
+    ``seed``) crossed with every closed-loop workload (default: all)."""
+    if plans is None:
+        plans = list(builtin_plans(seed).values())
+    names = sorted(WORKLOADS) if workloads is None else list(workloads)
+    if not names:
+        raise ValueError(f"no workloads selected (know {sorted(WORKLOADS)})")
+    return [
+        Scenario(plan.name or "<unnamed>", name, plan=plan)
+        for plan in plans
+        for name in names
+    ]
+
+
+def named_scenarios(seed: int = 0) -> Dict[str, Scenario]:
+    """The hand-aimed scenarios beside the matrix, by short name.
+
+    * ``overload-storm`` — null-call traffic far past the single-NxP
+      saturation point under the ``overload-storm`` plan, with
+      per-request deadlines, bounded admission queues and a retry
+      budget.  The storm's delays must outlast the watchdog, or the
+      budget is never consulted; a high dead threshold keeps the device
+      in service (the point is shedding, not failover), and
+      (1 + 1) * 8 = 16 stays within the ring-capacity invariant.
+      Expected verdict ``shed``.
+    * ``kill-revive`` — kill one of two devices, revive it mid-run and
+      demand it serve again (docs/ROBUSTNESS.md).  Expected
+      ``recovered``.
+    * ``kill-abrupt`` / ``kill-drain`` — kill one of two devices
+      mid-run; the survivor must finish with the correct value and no
+      host fallback (docs/FLEET.md).  Expected ``survived``.
+    """
+    storm = TrafficConfig(
+        scenario="null_call",
+        arrival="poisson",
+        qps=20_000.0,
+        requests=120,
+        clients=8,
+        seed=seed,
+        deadline_ns=500_000.0,
+        admission_limit=4,
+        retry_budget_tokens=8.0,
+        retry_budget_refill_per_ms=2.0,
+    )
+    return {
+        "overload-storm": Scenario(
+            "overload-storm@20000qps",
+            "serving",
+            plan=builtin_plans(seed)["overload-storm"],
+            traffic=storm,
+            overrides=(
+                ("migration_watchdog_ns", 100_000.0),
+                ("migration_retry_limit", 1),
+                ("nxp_dead_threshold", 8),
+            ),
+        ),
+        "kill-revive": Scenario(
+            "kill-revive-dev0@120000ns",
+            devices=2,
+            kill_at_ns=5_000.0,
+            revive_at_ns=120_000.0,
+            iters=16,
+        ),
+        "kill-abrupt": Scenario("kill-dev0-abrupt@5000ns", devices=2, kill_at_ns=5_000.0),
+        "kill-drain": Scenario(
+            "kill-dev0-drain@5000ns", devices=2, kill_at_ns=5_000.0, kill_mode="drain"
+        ),
+    }
 
 
 def run_chaos_matrix(
@@ -273,245 +508,18 @@ def run_chaos_matrix(
     seed: int = 0,
     bound_ns: float = DEFAULT_BOUND_NS,
 ) -> List[ChaosResult]:
-    """The full chaos matrix: every plan crossed with every workload.
-
-    A golden faults-off run per workload supplies the expected return
-    value; a golden run that fails is a configuration error, not a
-    chaos verdict, and raises immediately.
-    """
-    if plans is None:
-        plans = list(builtin_plans(seed).values())
-    names = list(workloads) if workloads is not None else sorted(WORKLOADS)
+    """Run :func:`matrix_scenarios`, one golden run per workload."""
+    scenarios = matrix_scenarios(seed, plans, workloads)
+    for scenario in scenarios:
+        scenario.validate()
     golden: Dict[str, int] = {}
-    for name in names:
-        probe = WORKLOADS[name](cfg.with_overrides(faults=(), fault_seed=0), bound_ns)
-        if probe.crash is not None or not probe.done:
-            raise RuntimeError(f"golden faults-off run of {name!r} did not complete")
-        golden[name] = probe.retval
-    results = []
-    for plan in plans:
-        for name in names:
-            results.append(
-                run_chaos_case(plan, name, cfg=cfg, bound_ns=bound_ns, expected=golden[name])
-            )
-    return results
-
-
-def run_fleet_kill_case(
-    nxps: int = 2,
-    kill_device: int = 0,
-    kill_at_ns: float = 5_000.0,
-    kill_mode: str = "abrupt",
-    cfg: FlickConfig = DEFAULT_CONFIG,
-    bound_ns: float = DEFAULT_BOUND_NS,
-) -> ChaosResult:
-    """Kill one of ``nxps`` devices mid-run; survivors must finish.
-
-    The fleet drain contract (docs/FLEET.md): an abrupt kill strands
-    the dead device's in-flight opening legs, the watchdog recovers
-    them, and placement re-routes every later session to a survivor —
-    the workload completes with its correct value and no host-fallback.
-    Deliberately *not* part of the default chaos matrix (those plans
-    describe single-machine fault processes); this case is driven by
-    the fleet tests and the CI fleet smoke.
-    """
-    if nxps < 2:
-        raise ValueError("the kill case needs nxps >= 2 (survivors)")
-    # Arm the hardened protocol with a never-firing rule, then tighten
-    # the recovery knobs: one retry and a one-strike dead threshold is
-    # safe here because a single closed-loop workload never queues
-    # behind itself, so a watchdog trip really does mean a lost leg.
-    run_cfg = cfg.with_overrides(
-        nxp_count=nxps,
-        placement_policy="round_robin",
-        faults=(FaultRule("dma_drop", after_ns=1e18, count=None),),
-        fault_seed=1,
-        migration_watchdog_ns=50_000.0,
-        migration_retry_limit=1,
-        nxp_dead_threshold=1,
-    )
-
-    def _killer(machine):
-        yield machine.sim.timeout(kill_at_ns)
-        machine.kill_nxp(kill_device, mode=kill_mode)
-
-    probe = _bounded_null_call(run_cfg, bound_ns, chaos=_killer)[0]
-    expected = NULL_CALL_ITERS * 3
-    verdict, detail = _classify(probe, expected)
-    return ChaosResult(
-        plan=f"kill-dev{kill_device}-{kill_mode}@{kill_at_ns:.0f}ns",
-        workload="null_call",
-        verdict=verdict,
-        retval=probe.retval,
-        expected=expected,
-        sim_ns=probe.sim_ns,
-        degraded_calls=probe.degraded_calls,
-        faults_fired=probe.faults_fired,
-        detail=detail,
-    )
-
-
-def run_overload_storm_case(
-    qps: float = 20_000.0,
-    requests: int = 120,
-    deadline_us: float = 500.0,
-    cfg: FlickConfig = DEFAULT_CONFIG,
-    seed: int = 0,
-) -> ChaosResult:
-    """Overload storm with the full protection stack armed.
-
-    Serves ``requests`` null-call requests at ``qps`` (far past the
-    single-NxP saturation point) under the ``overload-storm`` fault
-    plan, with per-request deadlines, bounded admission queues and a
-    machine-wide retry budget.  The overload-protection contract: the
-    run quiesces with **zero hangs** — every request either completes
-    with its correct value or is rejected with a typed shed — and the
-    retransmit storm is capped by the budget.  Verdict ``shed`` when
-    load was actually shed, ``survived``/``degraded`` when the machine
-    somehow kept up, ``hung``/``mismatch`` on contract violations.
-    """
-    from repro.analysis.serving import TrafficConfig, run_serving
-
-    plan = builtin_plans(seed)["overload-storm"]
-    tc = TrafficConfig(
-        scenario="null_call",
-        arrival="poisson",
-        qps=qps,
-        requests=requests,
-        clients=8,
-        seed=seed,
-        deadline_ns=deadline_us * 1000.0,
-        admission_limit=4,
-        retry_budget_tokens=8.0,
-        retry_budget_refill_per_ms=2.0,
-    )
-    # The storm plan's delays must be able to outlast the watchdog, or
-    # the retry budget is never consulted; a high dead-threshold keeps
-    # the device in service (the point is shedding, not failover), and
-    # (1 + 1) * 8 = 16 stays within the ring-capacity invariant.
-    run_cfg = plan.apply(cfg).with_overrides(
-        host_cores=tc.host_cores,
-        admission_queue_limit=tc.admission_limit,
-        retry_budget_tokens=tc.retry_budget_tokens,
-        retry_budget_refill_per_ms=tc.retry_budget_refill_per_ms,
-        migration_watchdog_ns=100_000.0,
-        migration_retry_limit=1,
-        nxp_dead_threshold=8,
-    )
-    name = f"overload-storm@{qps:.0f}qps"
-    try:
-        result = run_serving(tc, cfg=run_cfg)
-    except RuntimeError as exc:
-        return ChaosResult(
-            plan=name, workload="serving", verdict="hung", retval=None,
-            expected=None, sim_ns=0.0, degraded_calls=0, faults_fired=0,
-            detail=str(exc),
-        )
-    bad = [r for r in result.records if not r.shed and not r.ok]
-    if bad:
-        verdict, detail = "mismatch", f"{len(bad)} completed request(s) wrong"
-    elif result.shed:
-        verdict = "shed"
-        detail = (
-            f"{result.shed} typed shed(s) {result.shed_by_reason}, "
-            f"{len(result.completed_records)} completed ok, "
-            f"retry budget denied {result.retry_budget_denied}"
-        )
-    elif result.degraded_calls:
-        verdict, detail = "degraded", f"{result.degraded_calls} fallback call(s)"
-    else:
-        verdict, detail = "survived", "machine kept up with the storm"
-    return ChaosResult(
-        plan=name,
-        workload="serving",
-        verdict=verdict,
-        retval=None,
-        expected=None,
-        sim_ns=result.sim_ns,
-        degraded_calls=result.degraded_calls,
-        faults_fired=0,
-        detail=detail,
-    )
-
-
-def run_fleet_revive_case(
-    nxps: int = 2,
-    kill_device: int = 0,
-    kill_at_ns: float = 5_000.0,
-    revive_at_ns: float = 120_000.0,
-    iters: int = 16,
-    cfg: FlickConfig = DEFAULT_CONFIG,
-    bound_ns: float = DEFAULT_BOUND_NS,
-) -> ChaosResult:
-    """Kill one device, revive it mid-run, and demand it serve again.
-
-    The self-healing contract (docs/ROBUSTNESS.md): after
-    ``machine.revive_nxp`` the breaker goes DEAD → RECOVERING, placement
-    feeds the device half-open probe sessions, and after
-    ``nxp_probe_successes`` consecutive successes it is a full peer
-    again.  Verdict ``recovered`` only when the workload completes with
-    its correct value *and* the revived device served sessions after the
-    revive instant.
-    """
-    if nxps < 2:
-        raise ValueError("the revive case needs nxps >= 2 (survivors)")
-    if revive_at_ns <= kill_at_ns:
-        raise ValueError("revive_at_ns must be after kill_at_ns")
-    run_cfg = cfg.with_overrides(
-        nxp_count=nxps,
-        placement_policy="round_robin",
-        faults=(FaultRule("dma_drop", after_ns=1e18, count=None),),
-        fault_seed=1,
-        migration_watchdog_ns=50_000.0,
-        migration_retry_limit=1,
-        nxp_dead_threshold=1,
-        nxp_recovery=True,
-    )
-    sessions_at_revive: Dict[int, int] = {}
-
-    def _kill_revive(machine):
-        yield machine.sim.timeout(kill_at_ns)
-        machine.kill_nxp(kill_device, mode="abrupt")
-        yield machine.sim.timeout(revive_at_ns - kill_at_ns)
-        sessions_at_revive.update(machine.placement.session_counts())
-        machine.revive_nxp(kill_device)
-
-    probe, machine = _bounded_null_call(run_cfg, bound_ns, iters=iters, chaos=_kill_revive)
-    expected = iters * 3
-    verdict, detail = _classify(probe, expected)
-    if verdict in ("survived", "degraded"):
-        stats = machine.stats.snapshot()
-        revived = int(stats.get("nxp.revived", 0))
-        served_after = (
-            machine.placement.session_counts().get(kill_device, 0)
-            - sessions_at_revive.get(kill_device, 0)
-        )
-        health = machine.devices[kill_device].health
-        if revived and served_after > 0 and not health.dead:
-            verdict = "recovered"
-            detail = (
-                f"device {kill_device} revived, {served_after} post-revive "
-                f"session(s), {int(stats.get('health.probe_success', 0))} "
-                f"probe success(es), health {health.state.value}"
-            )
-        else:
-            verdict, detail = (
-                "hung",
-                f"revive did not re-admit device {kill_device} "
-                f"(revived={revived}, post-revive sessions={served_after}, "
-                f"health={health.state.value})",
-            )
-    return ChaosResult(
-        plan=f"kill-revive-dev{kill_device}@{revive_at_ns:.0f}ns",
-        workload="null_call",
-        verdict=verdict,
-        retval=probe.retval,
-        expected=expected,
-        sim_ns=probe.sim_ns,
-        degraded_calls=probe.degraded_calls,
-        faults_fired=probe.faults_fired,
-        detail=detail,
-    )
+    for scenario in scenarios:
+        if scenario.workload not in golden:
+            golden[scenario.workload] = _golden(scenario, cfg, bound_ns)
+    return [
+        run_scenario(s, cfg=cfg, bound_ns=bound_ns, expected=golden[s.workload])
+        for s in scenarios
+    ]
 
 
 def render_verdicts(results: Sequence[ChaosResult]) -> str:

@@ -23,19 +23,22 @@ exists to answer:
   the same traffic with no kill: every request must still complete
   with its expected retval, traffic must drain to the survivors, and
   the p99 must stay bounded (the kill run uses the hardened protocol's
-  watchdog/failover machinery; see ``TrafficConfig.kill_at_ns``).
+  watchdog/failover machinery; see ``TrafficConfig.kill_at_ns``).  The
+  drill (:func:`kill_drill`, shared with ``python -m repro why
+  --kill-aim``) is judged by the chaos classifier
+  (:func:`repro.analysis.chaos.run_scenario`).
 
-Everything lands in a ``flick.fleet.v2`` JSON document plus rendered
+Everything lands in a ``flick.fleet.v3`` JSON document plus rendered
 tables.  Exposed as ``python -m repro fleet`` (``--smoke`` runs a
 CI-sized subset).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.chaos import ChaosResult, Scenario, run_scenario
 from repro.analysis.serving import (
     ServingResult,
     TrafficConfig,
@@ -53,10 +56,10 @@ __all__ = [
     "FleetReport",
     "fleet_scaling",
     "policy_ablation",
+    "kill_drill",
     "chaos_drain",
     "run_fleet",
     "fleet_report_doc",
-    "write_fleet_report",
     "render_scaling_table",
     "render_ablation_table",
     "render_chaos_summary",
@@ -111,8 +114,8 @@ class FleetConfig:
     #: kill-then-revive drain (docs/ROBUSTNESS.md): revive the killed
     #: device at epoch + this instant (must be after the kill; requires
     #: an abrupt kill).  The killed device re-enters service through the
-    #: breaker's half-open probes and must serve a nonzero share of the
-    #: post-revival sessions.  ``None`` keeps the plain drain study.
+    #: breaker's half-open probes; ``recovered`` needs it to serve again
+    #: and end the run out of DEAD.  ``None`` keeps the plain drain study.
     chaos_revive_at_ns: Optional[float] = None
     #: trace the chaos pair (request-scoped causal tracing) so the
     #: outcome carries exactly-tiling critical paths and the report can
@@ -195,12 +198,18 @@ class AblationRow:
 
 @dataclass
 class ChaosOutcome:
-    """Kill-one-device run vs the identical traffic with no kill."""
+    """A kill drill: the killed run's verdict vs the same traffic unkilled."""
 
     baseline: ServingResult
-    killed: ServingResult
+    #: the killed run, judged by the chaos classifier; ``result.serving``
+    #: is the killed ServingResult
+    result: ChaosResult
     kill_device: int
     kill_mode: str
+
+    @property
+    def killed(self) -> ServingResult:
+        return self.result.serving
 
     @property
     def all_served_ok(self) -> bool:
@@ -232,22 +241,13 @@ class ChaosOutcome:
     def post_revival_share(self) -> float:
         """Fraction of post-revive sessions the revived device served
         (0.0 on a run without a revive, or before any post-revive
-        session landed).  Nonzero means the breaker's half-open probes
-        succeeded and placement re-admitted the device — the
-        ``recovered`` fleet verdict."""
+        session landed).  Nonzero means placement re-admitted the
+        device; the ``recovered`` verdict also needs it to end the run
+        out of the DEAD state."""
         total = sum(self.killed.post_revival_sessions.values())
         if not total:
             return 0.0
         return self.killed.post_revival_sessions.get(self.kill_device, 0) / total
-
-    @property
-    def verdict(self) -> str:
-        """``recovered`` / ``drained`` / ``failed`` fleet chaos verdict."""
-        if not self.all_served_ok:
-            return "failed"
-        if self.revived and self.post_revival_share > 0.0:
-            return "recovered"
-        return "drained"
 
     @property
     def recovered_requests(self) -> List:
@@ -279,11 +279,6 @@ class FleetReport:
     extras: Dict[str, object] = field(default_factory=dict)
 
 
-def _fleet_job(tc: TrafficConfig) -> ServingResult:
-    """Module-level so the sweep pool can pickle it."""
-    return run_serving(tc)
-
-
 def fleet_scaling(
     fc: FleetConfig, workers: Optional[int] = None
 ) -> List[ScalingPoint]:
@@ -300,7 +295,7 @@ def fleet_scaling(
             jobs.append(
                 replace(base, qps=float(qps), nxps=nxps, policy=policy)
             )
-    flat = parallel_map(_fleet_job, jobs, workers=workers)
+    flat = parallel_map(run_serving, jobs, workers=workers)
     points: List[ScalingPoint] = []
     per = len(fc.qps_list)
     for i, (nxps, policy) in enumerate(shapes):
@@ -318,25 +313,62 @@ def policy_ablation(
         fc.base_traffic(), qps=fc.ablation_qps, nxps=fc.ablation_nxps
     )
     jobs = [replace(base, policy=policy) for policy in fc.policies]
-    results = parallel_map(_fleet_job, jobs, workers=workers)
+    results = parallel_map(run_serving, jobs, workers=workers)
     return [
         AblationRow(policy, result)
         for policy, result in zip(fc.policies, results)
     ]
 
 
-def chaos_drain(
-    fc: FleetConfig, workers: Optional[int] = None
+def kill_drill(
+    base: TrafficConfig,
+    device: int = 0,
+    mode: str = "abrupt",
+    kill_at_ns: Optional[float] = None,
+    revive_at_ns: Optional[float] = None,
 ) -> ChaosOutcome:
-    """Kill one device mid-run; baseline is the same traffic unkilled.
+    """Kill ``device`` mid-run; the baseline is the same traffic unkilled.
 
-    When ``fc.chaos_kill_at_ns`` is ``None`` the kill is *aimed*: the
-    (traced) baseline runs first, and the kill instant is chosen inside
-    one of the victim device's in-flight h2n transfers — the killed run
+    When ``kill_at_ns`` is ``None`` the kill is *aimed*: the (traced)
+    baseline runs first, and the kill instant is chosen inside one of
+    the victim device's in-flight h2n transfers
+    (:func:`~repro.analysis.serving.aim_kill_ns`) — the killed run
     replays the identical pre-kill history, so the aimed leg is
     guaranteed to be stranded and recovered by the watchdog/failover
-    machinery, which the traced tail attribution then names.
+    machinery, which the traced tail attribution then names.  A
+    kill-then-revive drill needs arrivals *after* the revive instant,
+    or the revived device has nothing to serve, so its kill is aimed
+    into the first half of the run.  The killed run is a ``serving``
+    scenario, so its verdict comes from the chaos classifier.
     """
+    if kill_at_ns is None and not base.traced:
+        raise ValueError(
+            "an aimed kill (kill_at_ns=None) needs traced traffic to "
+            "observe the baseline's in-flight legs"
+        )
+    baseline = run_serving(base)
+    if kill_at_ns is None:
+        if revive_at_ns is None:
+            kill_at_ns = aim_kill_ns(baseline, device)
+        else:
+            kill_at_ns = aim_kill_ns(baseline, device, frac_lo=0.15, frac_hi=0.45)
+    killed = replace(
+        base,
+        kill_at_ns=kill_at_ns,
+        kill_device=device,
+        kill_mode=mode,
+        revive_at_ns=revive_at_ns,
+    )
+    result = run_scenario(
+        Scenario(f"kill-dev{device}-{mode}@{kill_at_ns:.0f}ns", "serving", traffic=killed)
+    )
+    if result.serving is None:
+        raise RuntimeError(f"{result.plan}: {result.verdict} ({result.detail})")
+    return ChaosOutcome(baseline, result, device, mode)
+
+
+def chaos_drain(fc: FleetConfig) -> ChaosOutcome:
+    """The fleet study's :func:`kill_drill` on its chaos traffic."""
     base = replace(
         fc.base_traffic(),
         qps=fc.chaos_qps,
@@ -344,54 +376,12 @@ def chaos_drain(
         policy="round_robin",
         traced=fc.chaos_traced,
     )
-    revive_at = fc.chaos_revive_at_ns
-    kill_at = fc.chaos_kill_at_ns
-    if kill_at is None:
-        if not fc.chaos_traced:
-            raise ValueError(
-                "chaos kill auto-aim (chaos_kill_at_ns=None) needs "
-                "chaos_traced=True to observe the baseline's in-flight legs"
-            )
-        baseline = _fleet_job(base)
-        if revive_at is None:
-            kill_at = aim_kill_ns(baseline, fc.chaos_kill_device)
-        else:
-            # A kill-then-revive drain needs arrivals *after* the
-            # revive instant, or the revived device has nothing to
-            # serve — aim the kill into the first half of the run.
-            kill_at = aim_kill_ns(
-                baseline, fc.chaos_kill_device, frac_lo=0.15, frac_hi=0.45
-            )
-        if revive_at is not None and revive_at <= kill_at:
-            raise ValueError(
-                f"chaos_revive_at_ns={revive_at:.0f} is not after the "
-                f"aimed kill instant {kill_at:.0f}"
-            )
-        killed = _fleet_job(
-            replace(
-                base,
-                kill_at_ns=kill_at,
-                kill_device=fc.chaos_kill_device,
-                kill_mode=fc.chaos_kill_mode,
-                revive_at_ns=revive_at,
-            )
-        )
-    else:
-        killed_tc = replace(
-            base,
-            kill_at_ns=kill_at,
-            kill_device=fc.chaos_kill_device,
-            kill_mode=fc.chaos_kill_mode,
-            revive_at_ns=revive_at,
-        )
-        baseline, killed = parallel_map(
-            _fleet_job, [base, killed_tc], workers=workers
-        )
-    return ChaosOutcome(
-        baseline=baseline,
-        killed=killed,
-        kill_device=fc.chaos_kill_device,
-        kill_mode=fc.chaos_kill_mode,
+    return kill_drill(
+        base,
+        device=fc.chaos_kill_device,
+        mode=fc.chaos_kill_mode,
+        kill_at_ns=fc.chaos_kill_at_ns,
+        revive_at_ns=fc.chaos_revive_at_ns,
     )
 
 
@@ -404,7 +394,7 @@ def run_fleet(
         config=fc,
         scaling=fleet_scaling(fc, workers=workers),
         ablation=policy_ablation(fc, workers=workers),
-        chaos=chaos_drain(fc, workers=workers),
+        chaos=chaos_drain(fc),
         workers=workers,
     )
 
@@ -497,7 +487,7 @@ def render_chaos_summary(outcome: ChaosOutcome) -> str:
             f"post-revive sessions "
             f"{dict(sorted(killed.post_revival_sessions.items()))} "
             f"(revived device share {outcome.post_revival_share:.2f}) "
-            f"-> verdict {outcome.verdict}"
+            f"-> verdict {outcome.result.verdict}"
         )
     recovered = outcome.recovered_requests
     if recovered:
@@ -519,7 +509,7 @@ def fleet_report_doc(report: FleetReport) -> dict:
     fc = report.config
     return {
         "benchmark": "fleet",
-        "schema": "flick.fleet.v2",
+        "schema": "flick.fleet.v3",
         "scenario": fc.scenario,
         "arrival": fc.arrival,
         "seed": fc.seed,
@@ -552,7 +542,8 @@ def fleet_report_doc(report: FleetReport) -> dict:
             "revive_at_ns": report.chaos.killed.config.revive_at_ns,
             "revived": report.chaos.revived,
             "post_revival_share": report.chaos.post_revival_share,
-            "verdict": report.chaos.verdict,
+            "verdict": report.chaos.result.verdict,
+            "detail": report.chaos.result.detail,
             "all_served_ok": report.chaos.all_served_ok,
             "p99_ratio": report.chaos.p99_ratio,
             "survivor_sessions": report.chaos.survivor_sessions,
@@ -569,11 +560,3 @@ def fleet_report_doc(report: FleetReport) -> dict:
             ),
         },
     }
-
-
-def write_fleet_report(report: FleetReport, path: str) -> dict:
-    doc = fleet_report_doc(report)
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    return doc

@@ -45,10 +45,9 @@ worker count.  Exposed as ``python -m repro serve``.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.critical_path import extract_request_paths
 from repro.analysis.metrics import (
@@ -63,6 +62,7 @@ from repro.analysis.sweep import parallel_map
 from repro.core.config import DEFAULT_CONFIG, FlickConfig
 from repro.core.errors import AdmissionRejected
 from repro.core.machine import FlickMachine, signed_retval
+from repro.sim.faults import FaultRule
 from repro.sim.stats import Histogram, quantile
 from repro.workloads.serving_profiles import PROFILES, scenario_mix
 
@@ -73,17 +73,49 @@ __all__ = [
     "generate_arrivals",
     "draw_kinds",
     "run_serving",
+    "check_kill",
+    "armed_for_kill",
+    "schedule_kill",
     "aim_kill_ns",
     "sweep_latency_vs_load",
     "saturation_point",
     "render_serving_table",
     "render_serving_openmetrics",
     "serving_report_doc",
-    "write_serving_report",
 ]
 
 ARRIVALS = ("poisson", "bursty", "uniform")
 MODES = ("open", "closed")
+
+
+def check_kill(
+    devices: int,
+    device: int,
+    kill_at_ns: Optional[float],
+    kill_mode: str,
+    revive_at_ns: Optional[float],
+) -> None:
+    """Validate a kill of ``device`` on a ``devices``-NxP machine and its
+    revive; ``kill_at_ns`` is None when nothing is killed."""
+    if kill_at_ns is not None:
+        if devices < 2:
+            raise ValueError("a kill needs at least 2 devices (survivors)")
+        if not 0 <= device < devices:
+            raise ValueError("kill_device out of range")
+        if kill_mode not in ("abrupt", "drain"):
+            raise ValueError(f"unknown kill mode {kill_mode!r}")
+    if revive_at_ns is not None:
+        if kill_at_ns is None or kill_mode != "abrupt":
+            raise ValueError(
+                "a revive needs an abrupt kill (kill_at_ns + "
+                "kill_mode='abrupt'): recovery rides the hardened "
+                "protocol's breaker"
+            )
+        if revive_at_ns <= kill_at_ns:
+            raise ValueError(
+                f"revive_at_ns={revive_at_ns:.0f} is not after "
+                f"kill_at_ns={kill_at_ns:.0f}"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,22 +208,9 @@ class TrafficConfig:
                     f"unknown placement policy {self.policy!r} "
                     f"(know {sorted(POLICIES)})"
                 )
-        if self.kill_at_ns is not None:
-            if self.nxps < 2:
-                raise ValueError("a kill run needs nxps >= 2 (survivors)")
-            if not 0 <= self.kill_device < self.nxps:
-                raise ValueError("kill_device out of range")
-            if self.kill_mode not in ("abrupt", "drain"):
-                raise ValueError(f"unknown kill mode {self.kill_mode!r}")
-        if self.revive_at_ns is not None:
-            if self.kill_at_ns is None or self.kill_mode != "abrupt":
-                raise ValueError(
-                    "a revive run needs an abrupt kill (kill_at_ns + "
-                    "kill_mode='abrupt'): recovery rides the hardened "
-                    "protocol's breaker"
-                )
-            if self.revive_at_ns <= self.kill_at_ns:
-                raise ValueError("revive_at_ns must be after kill_at_ns")
+        check_kill(
+            self.nxps, self.kill_device, self.kill_at_ns, self.kill_mode, self.revive_at_ns
+        )
         if self.deadline_ns < 0:
             raise ValueError("deadline_ns must be >= 0 (0 = no deadlines)")
         if self.admission_limit < 0:
@@ -344,6 +363,9 @@ class ServingResult:
     #: revive runs only: sessions placed per device *after* the revive
     #: instant (final placement counters minus the pre-revive snapshot)
     post_revival_sessions: Dict[int, int] = field(default_factory=dict)
+    #: revive runs only: the killed device's health state at the end of
+    #: the run (``dead`` when a failed half-open probe re-tripped it)
+    killed_health: str = ""
     #: traced runs only (config.traced): one exactly-tiling critical
     #: path per request, request-index order
     #: (repro.analysis.critical_path.RequestPath); empty when untraced
@@ -407,54 +429,108 @@ class ServingResult:
         }
 
 
-def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> ServingResult:
-    """Serve one traffic config on a fresh machine; fully deterministic."""
-    tc.validate()
-    if cfg is None:
-        overrides: Dict[str, object] = {"host_cores": tc.host_cores}
-        if tc.nxps > 1:
-            overrides["nxp_count"] = tc.nxps
-            overrides["placement_policy"] = tc.policy
-        if tc.kill_at_ns is not None and tc.kill_mode == "abrupt":
-            # An abrupt kill needs the hardened protocol: arm a quiet
-            # (never-firing) fault plan and tighten the recovery knobs
-            # so a leg lost to the killed device fails over in well
-            # under a millisecond instead of the conservative defaults'
-            # ~5 ms.  The watchdog must stay comfortably above the
-            # worst-case *queueing* delay at a loaded survivor, or a
-            # slow-but-healthy device gets latched DEAD too (retries
-            # are seq-deduplicated, so a trip itself is harmless — only
-            # the dead-threshold is destructive).  Kill runs should use
-            # single-leg scenarios (``null_call``) at moderate load; a
-            # mid-ladder leg lost to a kill is a ProcessCrash by design.
-            from repro.sim.faults import FaultRule
+#: A rule that never fires: arming it turns on the hardened protocol
+#: (sequence numbers, watchdogs, retry, health) without injecting a fault.
+QUIET_RULE = FaultRule("dma_drop", after_ns=1e18, count=None)
 
-            overrides["faults"] = (
-                FaultRule("dma_drop", after_ns=1e18, count=None),
-            )
-            overrides["migration_watchdog_ns"] = 250_000.0
-            overrides["migration_retry_limit"] = 1
-            overrides["nxp_dead_threshold"] = 1
-        if tc.traced:
-            overrides["trace_context"] = True
-        # Robustness knobs (docs/ROBUSTNESS.md); each stays at its
-        # parity-pinned default unless the traffic config arms it.
-        if tc.admission_limit:
-            overrides["admission_queue_limit"] = tc.admission_limit
-        if tc.brownout:
-            overrides["brownout"] = True
-            overrides["brownout_margin_ns"] = tc.brownout_margin_ns
-        if tc.retry_budget_tokens:
-            overrides["retry_budget_tokens"] = tc.retry_budget_tokens
-            overrides["retry_budget_refill_per_ms"] = tc.retry_budget_refill_per_ms
-        if tc.revive_at_ns is not None:
-            overrides["nxp_recovery"] = True
-        cfg = DEFAULT_CONFIG.with_overrides(**overrides)
-    machine = FlickMachine(cfg)
+
+def armed_for_kill(cfg: FlickConfig, watchdog_ns: float, revive: bool = False) -> FlickConfig:
+    """``cfg`` armed for an abrupt device kill (and a revive).
+
+    An abrupt kill needs the hardened protocol, so a config without a
+    fault plan gets :data:`QUIET_RULE`.  The recovery knobs tighten to
+    one retry and a one-strike dead threshold, so a leg lost to the
+    killed device fails over after one ``watchdog_ns`` wait instead of
+    the defaults' ~5 ms.  The watchdog must stay above the worst-case
+    *queueing* delay at a loaded survivor, or a slow-but-healthy device
+    is latched DEAD too (retries are seq-deduplicated, so a trip itself
+    is harmless; only the dead threshold is destructive).  A closed-loop
+    probe never queues behind itself and can use a much shorter one.
+    A revive also needs ``nxp_recovery``.
+    """
+    return cfg.with_overrides(
+        faults=cfg.faults or (QUIET_RULE,),
+        migration_watchdog_ns=watchdog_ns,
+        migration_retry_limit=1,
+        nxp_dead_threshold=1,
+        nxp_recovery=cfg.nxp_recovery or revive,
+    )
+
+
+def schedule_kill(
+    machine: FlickMachine,
+    device: int,
+    kill_at_ns: float,
+    mode: str = "abrupt",
+    revive_at_ns: Optional[float] = None,
+) -> Callable[[], Tuple[Dict[int, int], str]]:
+    """Kill ``device`` ``kill_at_ns`` from now, and revive it
+    ``revive_at_ns`` from now when given.
+
+    The killer and the reviver are separate processes, both timed from
+    now.  Returns a reader to call once the run is over: the sessions
+    placed per device since the revive instant (every device's full
+    count when nothing was revived), and the killed device's health
+    state.
+    """
+    sim = machine.sim
+    at_revive: Dict[int, int] = {}
+
+    def _killer():
+        yield sim.timeout(kill_at_ns)
+        machine.kill_nxp(device, mode=mode)
+
+    sim.spawn(_killer(), name="chaos-killer")
+    if revive_at_ns is not None:
+
+        def _reviver():
+            yield sim.timeout(revive_at_ns)
+            at_revive.update(machine.placement.session_counts())
+            machine.revive_nxp(device)
+
+        sim.spawn(_reviver(), name="chaos-reviver")
+
+    def after_kill() -> Tuple[Dict[int, int], str]:
+        sessions = {
+            dev: count - at_revive.get(dev, 0)
+            for dev, count in machine.placement.session_counts().items()
+        }
+        return sessions, machine.devices[device].health.state.value
+
+    return after_kill
+
+
+def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> ServingResult:
+    """Serve one traffic config on a fresh machine; fully deterministic.
+
+    ``cfg`` is the base machine config (default :data:`DEFAULT_CONFIG`);
+    the traffic config's machine shape and robustness knobs are applied
+    on top of it.
+    """
+    tc.validate()
+    overrides: Dict[str, object] = {"host_cores": tc.host_cores}
+    if tc.nxps > 1:
+        overrides["nxp_count"] = tc.nxps
+        overrides["placement_policy"] = tc.policy
     if tc.traced:
-        # Covers an explicitly-passed cfg too; a no-op when the config
-        # already enabled trace_context.
-        machine.trace.context_enabled = True
+        overrides["trace_context"] = True
+    # Robustness knobs (docs/ROBUSTNESS.md); each stays at its
+    # parity-pinned default unless the traffic config arms it.
+    if tc.admission_limit:
+        overrides["admission_queue_limit"] = tc.admission_limit
+    if tc.brownout:
+        overrides["brownout"] = True
+        overrides["brownout_margin_ns"] = tc.brownout_margin_ns
+    if tc.retry_budget_tokens:
+        overrides["retry_budget_tokens"] = tc.retry_budget_tokens
+        overrides["retry_budget_refill_per_ms"] = tc.retry_budget_refill_per_ms
+    cfg = (cfg or DEFAULT_CONFIG).with_overrides(**overrides)
+    if tc.kill_at_ns is not None and tc.kill_mode == "abrupt":
+        # Kill runs should use single-leg scenarios (``null_call``) at
+        # moderate load: a mid-ladder leg lost to a kill is a
+        # ProcessCrash by design.
+        cfg = armed_for_kill(cfg, 250_000.0, revive=tc.revive_at_ns is not None)
+    machine = FlickMachine(cfg)
     # Size the trace rings to the run so utilization and the per-request
     # spans are derived from complete data, not a truncated window.
     machine.trace.limit = max(machine.trace.limit, tc.requests * 150)
@@ -627,22 +703,9 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
             sim.spawn(_client(c), name=f"client[{c}]")
 
     if tc.kill_at_ns is not None:
-
-        def _killer():
-            yield sim.timeout(tc.kill_at_ns)
-            machine.kill_nxp(tc.kill_device, mode=tc.kill_mode)
-
-        sim.spawn(_killer(), name="chaos-killer")
-
-    sessions_before_revive: Dict[int, int] = {}
-    if tc.revive_at_ns is not None:
-
-        def _reviver():
-            yield sim.timeout(tc.revive_at_ns)
-            sessions_before_revive.update(machine.placement.session_counts())
-            machine.revive_nxp(tc.kill_device)
-
-        sim.spawn(_reviver(), name="chaos-reviver")
+        after_kill = schedule_kill(
+            machine, tc.kill_device, tc.kill_at_ns, tc.kill_mode, tc.revive_at_ns
+        )
 
     sim.run()
 
@@ -676,13 +739,7 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
         if r.shed:
             shed_by_reason[r.shed_reason] = shed_by_reason.get(r.shed_reason, 0) + 1
     stats = machine.stats.snapshot()
-    final_sessions = machine.placement.session_counts()
-    post_revival: Dict[int, int] = {}
-    if tc.revive_at_ns is not None:
-        post_revival = {
-            dev: count - sessions_before_revive.get(dev, 0)
-            for dev, count in final_sessions.items()
-        }
+    post_revival, killed_health = after_kill() if tc.revive_at_ns is not None else ({}, "")
 
     return ServingResult(
         config=tc,
@@ -707,7 +764,7 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
         ),
         open_spans=len(trace.open_spans()),
         observed=dict(sorted(machine.stats.observed_totals().items())),
-        device_sessions=final_sessions,
+        device_sessions=machine.placement.session_counts(),
         degraded_calls=int(stats.get("degraded.calls", 0)),
         shed=len(done) - len(served),
         shed_by_reason=shed_by_reason,
@@ -718,6 +775,7 @@ def run_serving(tc: TrafficConfig, cfg: Optional[FlickConfig] = None) -> Serving
         retry_budget_denied=int(stats.get("retry_budget.denied", 0)),
         revived=int(stats.get("nxp.revived", 0)),
         post_revival_sessions=post_revival,
+        killed_health=killed_health,
         paths=(
             extract_request_paths(trace, served) if tc.traced else []
         ),
@@ -782,11 +840,6 @@ def aim_kill_ns(
 # ---------------------------------------------------------------------------
 
 
-def _sweep_job(tc: TrafficConfig) -> ServingResult:
-    """Module-level so the sweep pool can pickle it."""
-    return run_serving(tc)
-
-
 def sweep_latency_vs_load(
     qps_list: Sequence[float],
     base: Optional[TrafficConfig] = None,
@@ -797,7 +850,7 @@ def sweep_latency_vs_load(
     at any worker count (each point is an independent machine)."""
     base = base if base is not None else TrafficConfig()
     jobs = [replace(base, qps=float(qps)) for qps in qps_list]
-    return parallel_map(_sweep_job, jobs, workers=workers)
+    return parallel_map(run_serving, jobs, workers=workers)
 
 
 def saturation_point(
@@ -936,11 +989,3 @@ def serving_report_doc(results: Sequence[ServingResult]) -> dict:
         "saturation_qps": saturation_point(results),
         "points": [r.to_point() for r in results],
     }
-
-
-def write_serving_report(results: Sequence[ServingResult], path: str) -> dict:
-    doc = serving_report_doc(results)
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    return doc

@@ -162,7 +162,7 @@ class FlickMachine:
         self.fused_pids: set = set()
         # Machine-wide outbound (n2h) sequence counters, keyed by pid.
         # One dict shared by every device: the host-side duplicate
-        # filter compares against a single per-task high-water mark, so
+        # filter compares against a single per-process high-water mark, so
         # replies must be monotonic per pid across the whole fleet —
         # per-device counters would collide the moment two devices both
         # answered the same process (round-robin placement does exactly

@@ -138,7 +138,7 @@ class Kernel:
           one this MSI announces;
         * descriptors failing wire-format checks (``dma_corrupt``) are
           discarded — the sender's watchdog retransmits them;
-        * retransmit duplicates are deduplicated by per-task sequence
+        * retransmit duplicates are deduplicated by per-process sequence
           number, and the waker refuses to fire a wake event the leg
           watchdog already claimed.
         """
@@ -171,9 +171,10 @@ class Kernel:
             self.machine.trace.record(
                 "irq", pid=desc.pid, kind="call" if desc.is_call else "return"
             )
-            if desc.seq <= task.last_in_seq:
-                # A retransmit of a leg the thread already completed
-                # (its own watchdog resent, both copies arrived).
+            if desc.seq <= task.process.last_in_seq:
+                # A retransmit of a leg the process already completed
+                # (a watchdog resent, both copies arrived), possibly on
+                # an earlier thread of the same process.
                 stats.count("kernel.late_delivery")
                 self.machine.trace.record("late_delivery", pid=desc.pid, seq=desc.seq)
                 continue
@@ -196,7 +197,7 @@ class Kernel:
                 return
             self.machine.trace.record("task_wake", pid=desc.pid)
             task.wake_event = None
-            task.last_in_seq = desc.seq
+            task.process.last_in_seq = desc.seq
             ev.trigger(desc)
 
         self.sim.spawn(waker(self.sim), name=f"wake-{task.name}")

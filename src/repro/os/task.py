@@ -78,6 +78,12 @@ class Process:
         # this) must continue the sequence, not restart it — a restart
         # makes the device discard its legs as stale retransmits.
         self.h2n_seq: int = 0
+        # The hardened kernel's inbound (n2h) high-water mark: the
+        # highest reply sequence number already delivered to any thread
+        # of this process.  The n2h numbering is per pid too, so it
+        # lives here for the same reason: a fresh thread must not accept
+        # a late retransmit duplicate of its predecessor's reply.
+        self.last_in_seq: int = 0
         # Host-side memos of this address space, valid for as long as
         # its page tables' generations say: every core that runs it
         # shares them, so a reused process is decoded and translated
@@ -121,12 +127,9 @@ class Task:
         # Wake channel: the ioctl sleeps here; the IRQ handler delivers
         # the inbound descriptor slot address.
         self.wake_event = None  # repro.sim.Event, armed by the ioctl
-        # Hardened-protocol bookkeeping (only advanced when faults are
-        # armed): the highest inbound (n2h) sequence already delivered
-        # to the ioctl.  The outbound counter is ``h2n_seq`` below — a
+        # The outbound (h2n) migration counter is ``h2n_seq`` below — a
         # per-process value surfaced here because the ioctl works in
         # task terms.
-        self.last_in_seq: int = 0
         # Index of the device whose BRAM slice holds this task's NxP
         # stack (the ``locality`` policy's affinity); None until the
         # first migration.

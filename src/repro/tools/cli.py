@@ -37,9 +37,10 @@ runs the program and emits the derived metrics — latency histograms,
 per-device utilization, counters — as OpenMetrics/Prometheus text or a
 JSON ``RunReport`` (``--format``, ``--by-pid`` for per-pid series).
 ``chaos`` runs the chaos matrix (docs/ROBUSTNESS.md): seeded fault plans
-crossed with fixed workloads on the hardened migration protocol, with a
-verdict per case (survived/degraded/crashed/hung/mismatch); exit 1 if
-any case hangs or returns a wrong value.  ``--plan``/``--plan-file``
+crossed with fixed workloads on the hardened migration protocol, plus
+the overload-storm and kill-then-revive scenarios, with a verdict per
+case (survived/degraded/shed/recovered/crashed/hung/mismatch); exit 1
+if any case hangs or returns a wrong value.  ``--plan``/``--plan-file``
 select plans, ``--seed`` reseeds them, ``--list`` shows what's built in.
 ``serve`` replays deterministic seeded serving traffic (open- or
 closed-loop; Poisson, bursty or uniform arrivals; scenario request
@@ -64,8 +65,12 @@ report shows watchdog/failover recovery dominating the tail.
 ``fleet`` runs the multi-NxP study — throughput-vs-device-count scaling
 curve, placement-policy ablation, and a kill-one-device chaos drain —
 with ``--smoke`` for a CI-sized subset and ``--gate`` as an exit-code
-check (chaos must serve every request; throughput must rise with
-device count).
+check (the drain's chaos verdict must be allowed; throughput must rise
+with device count).
+``serve``, ``why`` and ``fleet`` share one output path
+(``--format``/``--out``); they and ``chaos`` share one exit-code gate
+and one usage-error path: invalid flags or scenarios print
+``error: ...`` and exit 2.
 ``bench`` measures simulator throughput with the fast paths on vs off
 (docs/PERFORMANCE.md); ``--quick`` shrinks the workloads to a
 sub-30-second smoke, ``--hosted`` adds the hosted-mode op-batching
@@ -78,6 +83,7 @@ JSON, and ``--check BASELINE`` gates the run against a saved baseline
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -89,6 +95,48 @@ from repro.toolchain.linker import link
 from repro.core.stubs import STUB_SYMBOLS
 
 __all__ = ["main", "build_parser"]
+
+
+def _traffic_args(parser: argparse.ArgumentParser, seed: int) -> None:
+    """The traffic flags ``serve`` and ``why`` share."""
+    parser.add_argument(
+        "--scenario",
+        default="null_call",
+        help="request mix (null_call, pointer_chase, kv_filter, bfs, mixed)",
+    )
+    parser.add_argument(
+        "--arrival",
+        choices=("poisson", "bursty", "uniform"),
+        default="poisson",
+        help="arrival process (default: poisson)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=seed, help=f"traffic seed (default: {seed})"
+    )
+    parser.add_argument(
+        "--requests", type=int, default=200, help="requests per point (default: 200)"
+    )
+    parser.add_argument(
+        "--clients", type=int, default=8, help="connection-pool size (default: 8)"
+    )
+    parser.add_argument("--nxps", type=int, default=1, help="NxP devices (default: 1)")
+    parser.add_argument(
+        "--policy",
+        choices=("static", "round_robin", "least_loaded", "locality"),
+        default="static",
+        help="session placement policy for --nxps > 1 (default: static)",
+    )
+
+
+def _output_args(parser: argparse.ArgumentParser, formats, report: str = "") -> None:
+    """``--format`` (and, given a report schema, ``--out``); see :func:`_report`."""
+    parser.add_argument(
+        "--format", choices=formats, default="table", help="stdout format (default: table)"
+    )
+    if report:
+        parser.add_argument(
+            "--out", default=None, help=f"also write the {report} JSON report here"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,30 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="offered load point(s) in requests/sec of simulated time "
         "(repeat values for a sweep; default: 1000)",
     )
-    serve_p.add_argument(
-        "--scenario",
-        default="null_call",
-        help="request mix (null_call, pointer_chase, kv_filter, bfs, mixed)",
-    )
-    serve_p.add_argument(
-        "--arrival",
-        choices=("poisson", "bursty", "uniform"),
-        default="poisson",
-        help="arrival process (default: poisson)",
-    )
+    _traffic_args(serve_p, seed=0)
     serve_p.add_argument(
         "--mode",
         choices=("open", "closed"),
         default="open",
         help="open loop (arrivals independent of completions, queueing "
         "delay counted) or closed loop (default: open)",
-    )
-    serve_p.add_argument("--seed", type=int, default=0, help="traffic seed (default: 0)")
-    serve_p.add_argument(
-        "--requests", type=int, default=200, help="requests per point (default: 200)"
-    )
-    serve_p.add_argument(
-        "--clients", type=int, default=8, help="connection-pool size (default: 8)"
     )
     serve_p.add_argument(
         "--think-us",
@@ -283,15 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="sweep worker processes (default: one per point, capped at cores)",
     )
-    serve_p.add_argument(
-        "--format",
-        choices=("table", "json", "openmetrics"),
-        default="table",
-        help="stdout format (default: table)",
-    )
-    serve_p.add_argument(
-        "--out", default=None, help="also write the flick.serving.v2 JSON report here"
-    )
+    _output_args(serve_p, ("table", "json", "openmetrics"), report="flick.serving.v2")
     serve_p.add_argument(
         "--tolerance",
         type=float,
@@ -299,18 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FRAC",
         help="gate: exit 1 unless every point achieves at least FRAC of its "
         "offered QPS and reports a finite p99 (the CI smoke check)",
-    )
-    serve_p.add_argument(
-        "--nxps",
-        type=int,
-        default=1,
-        help="NxP devices on the serving machine (default: 1)",
-    )
-    serve_p.add_argument(
-        "--policy",
-        choices=("static", "round_robin", "least_loaded", "locality"),
-        default="static",
-        help="session placement policy for --nxps > 1 (default: static)",
     )
     serve_p.add_argument(
         "--traced",
@@ -365,33 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     why_p.add_argument(
         "--qps", type=float, default=20_000.0, help="offered load (default: 20000)"
     )
-    why_p.add_argument(
-        "--scenario",
-        default="null_call",
-        help="request mix (null_call, pointer_chase, kv_filter, bfs, mixed)",
-    )
-    why_p.add_argument(
-        "--arrival",
-        choices=("poisson", "bursty", "uniform"),
-        default="poisson",
-        help="arrival process (default: poisson)",
-    )
-    why_p.add_argument("--seed", type=int, default=7, help="traffic seed (default: 7)")
-    why_p.add_argument(
-        "--requests", type=int, default=200, help="request count (default: 200)"
-    )
-    why_p.add_argument(
-        "--clients", type=int, default=8, help="connection-pool size (default: 8)"
-    )
-    why_p.add_argument(
-        "--nxps", type=int, default=1, help="NxP devices (default: 1)"
-    )
-    why_p.add_argument(
-        "--policy",
-        choices=("static", "round_robin", "least_loaded", "locality"),
-        default="static",
-        help="session placement policy for --nxps > 1 (default: static)",
-    )
+    _traffic_args(why_p, seed=7)
     why_p.add_argument(
         "--p99",
         dest="percentile",
@@ -419,12 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="device --kill-aim kills (default: 0)",
     )
-    why_p.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="stdout format (default: table; json = flick.why.v1)",
-    )
+    _output_args(why_p, ("table", "json"))
 
     fleet_p = sub.add_parser(
         "fleet",
@@ -442,20 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="sweep worker processes (default: capped at cores)",
     )
-    fleet_p.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="stdout format (default: table)",
-    )
-    fleet_p.add_argument(
-        "--out", default=None, help="also write the flick.fleet.v2 JSON report here"
-    )
+    _output_args(fleet_p, ("table", "json"), report="flick.fleet.v3")
     fleet_p.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 unless the chaos drain served every request correctly "
-        "and peak throughput rises with device count (the CI fleet smoke)",
+        help="exit 1 unless the chaos drill's verdict is allowed, every "
+        "ablation policy serves correctly and peak throughput rises with "
+        "device count (the CI fleet smoke)",
     )
     fleet_p.add_argument(
         "--slo",
@@ -473,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill-then-revive drain: revive the killed device at this "
         "sim instant (must land after the kill); the device re-enters "
         "service through half-open breaker probes and with --gate must "
-        "serve a nonzero post-revival share (docs/ROBUSTNESS.md)",
+        "reach the 'recovered' verdict (docs/ROBUSTNESS.md)",
     )
 
     return parser
@@ -679,8 +652,6 @@ def _cmd_bench(args, out) -> int:
         if hosted is not None:
             doc["hosted_batching"] = asdict(hosted)
         if args.save:
-            import json
-
             with open(args.save, "w") as handle:
                 json.dump(doc, handle, indent=2)
             print(f"baseline saved -> {args.save}", file=out)
@@ -693,14 +664,67 @@ def _cmd_bench(args, out) -> int:
     return 0 if ok else 1
 
 
+def _report(args, out, doc, render, runs=(), notes=()) -> None:
+    """Print an analysis command's result in its ``--format`` and write
+    its ``--out``.
+
+    ``doc`` builds the JSON document, only when ``--format json`` or
+    ``--out`` asks for it; ``render`` maps every other format to a
+    function returning its text.  ``notes`` print first and ``runs``
+    (ServingResults) are checked for trace-ring truncation.  In json
+    mode the document must be alone on stdout (machine parseable), so
+    notes and warnings go to stderr.
+    """
+    fmt, path = args.format, getattr(args, "out", None)  # ``why`` has no --out
+    note_out = sys.stderr if fmt == "json" else out
+    for note in notes:
+        print(note, file=note_out)
+    if fmt == "json" or path:
+        document = doc()
+        encoded = json.dumps(document, indent=2) + "\n"
+    text = encoded if fmt == "json" else render[fmt]()
+    out.write(text if text.endswith("\n") else text + "\n")
+    for r in runs:
+        # A bounded trace ring silently windows every span-derived
+        # number; say so out loud.
+        dropped = r.observed["trace.dropped"]
+        spans_dropped = r.observed["trace.spans_dropped"]
+        if dropped or spans_dropped:
+            print(
+                f"WARNING: @ {r.offered_qps:g} qps the trace ring dropped "
+                f"{dropped} events / {spans_dropped} spans; "
+                "utilization and critical paths cover a window of the run",
+                file=note_out,
+            )
+    if path:
+        with open(path, "w") as handle:
+            handle.write(encoded)
+        # "serving report -> ...", "fleet report -> ..."
+        print(f"{document['benchmark']} report -> {path}", file=note_out)
+
+
+def _gate(label: str, failures: List[str], out, ok_note: Optional[str] = None) -> int:
+    """End an analysis command: exit 1 with a ``FAILED`` block when its
+    gate found failures, else exit 0 — printing ``<label> gate ok``
+    plus ``ok_note`` when a gate was asked for (``ok_note`` not None)."""
+    if failures:
+        print(f"{label} gate FAILED:", file=out)
+        for line in failures:
+            print(f"  {line}", file=out)
+        return 1
+    if ok_note is not None:
+        print(f"{label} gate ok{ok_note}", file=out)
+    return 0
+
+
 def _cmd_chaos(args, out) -> int:
     from repro.analysis.chaos import (
         DEFAULT_BOUND_NS,
         WORKLOADS,
+        named_scenarios,
         render_verdicts,
         run_chaos_matrix,
-        run_fleet_revive_case,
-        run_overload_storm_case,
+        run_scenario,
     )
     from repro.sim.faults import FaultPlan, builtin_plans
 
@@ -716,8 +740,7 @@ def _cmd_chaos(args, out) -> int:
         plans = []
         for name in args.plan or []:
             if name not in builtin:
-                print(f"unknown plan {name!r} (try --list)", file=out)
-                return 2
+                raise ValueError(f"unknown plan {name!r} (try --list)")
             plans.append(builtin[name])
         for path in args.plan_file or []:
             plans.append(FaultPlan.from_json(_read(path)).with_seed(args.seed))
@@ -729,26 +752,15 @@ def _cmd_chaos(args, out) -> int:
         # Full-matrix runs also exercise the robustness scenarios:
         # admission + retry-budget under an overload storm, and the
         # breaker's kill-then-revive path (docs/ROBUSTNESS.md).
-        results.append(run_overload_storm_case(seed=args.seed))
-        results.append(run_fleet_revive_case())
+        named = named_scenarios(args.seed)
+        for name in ("overload-storm", "kill-revive"):
+            results.append(run_scenario(named[name], bound_ns=bound_ns))
     print(render_verdicts(results), file=out)
-    bad = [r for r in results if not r.ok]
-    return 1 if bad else 0
-
-
-def _warn_truncated(results, out) -> None:
-    """Satellite of the tracing work: a bounded trace ring silently
-    windows every span-derived number; say so out loud."""
-    for r in results:
-        dropped = r.observed["trace.dropped"]
-        spans_dropped = r.observed["trace.spans_dropped"]
-        if dropped or spans_dropped:
-            print(
-                f"WARNING: @ {r.offered_qps:g} qps the trace ring dropped "
-                f"{dropped} events / {spans_dropped} spans; "
-                "utilization and critical paths cover a window of the run",
-                file=out,
-            )
+    return _gate(
+        "chaos",
+        [f"{r.plan} / {r.workload}: {r.verdict} ({r.detail})" for r in results if not r.ok],
+        out,
+    )
 
 
 def _cmd_serve(args, out) -> int:
@@ -760,7 +772,6 @@ def _cmd_serve(args, out) -> int:
         render_serving_table,
         serving_report_doc,
         sweep_latency_vs_load,
-        write_serving_report,
     )
     from repro.analysis.slo import evaluate_slo, parse_slo, render_slo
 
@@ -779,59 +790,48 @@ def _cmd_serve(args, out) -> int:
         admission_limit=args.admission_limit,
         brownout=args.brownout,
     )
-    try:
-        base.validate()
-        if args.brownout and not (args.admission_limit or args.deadline_us):
-            raise ValueError(
-                "--brownout needs --admission-limit or --deadline-us "
-                "(nothing to brown out otherwise)"
-            )
-        slos = [parse_slo(spec) for spec in args.slo or []]
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
+    base.validate()
+    if args.brownout and not (args.admission_limit or args.deadline_us):
+        raise ValueError(
+            "--brownout needs --admission-limit or --deadline-us "
+            "(nothing to brown out otherwise)"
+        )
+    slos = [parse_slo(spec) for spec in args.slo or []]
     results = sweep_latency_vs_load(args.qps, base, workers=args.workers)
 
-    if args.format == "json":
-        import json
-
-        out.write(json.dumps(serving_report_doc(results), indent=2) + "\n")
-    elif args.format == "openmetrics":
-        out.write(render_serving_openmetrics(results))
-    else:
-        print(render_serving_table(results), file=out)
+    def table() -> str:
+        lines = [render_serving_table(results)]
         if args.traced:
             from repro.analysis.critical_path import why_report
 
             for r in results:
                 rep = why_report(r.paths)
                 exemplars = ", ".join(rep.tail.exemplars)
-                print(
+                lines.append(
                     f"p99 attribution @ {r.offered_qps:g} qps: "
-                    f"{rep.tail.dominant} ({exemplars})",
-                    file=out,
+                    f"{rep.tail.dominant} ({exemplars})"
                 )
-    _warn_truncated(results, out)
-    if args.out:
-        write_serving_report(results, args.out)
-        print(f"serving report -> {args.out}", file=out)
+        return "\n".join(lines)
 
-    slo_ok = True
+    _report(
+        args,
+        out,
+        lambda: serving_report_doc(results),
+        {"table": table, "openmetrics": lambda: render_serving_openmetrics(results)},
+        runs=results,
+    )
+
+    failures = []
     for slo in slos:
         for r in results:
             # Percentiles over completed requests only: a shed request
             # has no latency, and counting it would let heavy shedding
             # masquerade as a latency win.  The shed count rides along.
             rep = evaluate_slo(r.completed_records, slo, shed=r.shed)
-            slo_ok = slo_ok and rep.ok
-            verdict = render_slo(rep).splitlines()[0]
-            print(f"@ {r.offered_qps:g} qps: {verdict}", file=out)
-    if args.slo_gate and not slo_ok:
-        print("serve SLO gate FAILED", file=out)
-        return 1
-
+            print(f"@ {r.offered_qps:g} qps: {render_slo(rep).splitlines()[0]}", file=out)
+            if args.slo_gate and not rep.ok:
+                failures.append(f"{r.offered_qps:g} qps: violates {slo.spec}")
     if args.tolerance is not None:
-        bad = []
         for r in results:
             # achieved_qps already counts completed requests only, so a
             # point that sheds its way out of overload fails the ratio
@@ -839,27 +839,22 @@ def _cmd_serve(args, out) -> int:
             ratio = r.achieved_qps / r.offered_qps if r.offered_qps > 0 else 0.0
             if ratio < args.tolerance:
                 note = f" ({r.shed} shed)" if r.shed else ""
-                bad.append(
+                failures.append(
                     f"{r.offered_qps:g} qps: achieved/offered {ratio:.3f}{note}"
                 )
             if not math.isfinite(r.p99_ns):
-                bad.append(f"{r.offered_qps:g} qps: no p99 (empty latency sample)")
+                failures.append(f"{r.offered_qps:g} qps: no p99 (empty latency sample)")
             if r.errors:
-                bad.append(f"{r.offered_qps:g} qps: {r.errors} wrong return value(s)")
-        if bad:
-            print("serve gate FAILED:", file=out)
-            for line in bad:
-                print(f"  {line}", file=out)
-            return 1
-        print(f"serve gate ok (tolerance {args.tolerance})", file=out)
-    return 0
+                failures.append(f"{r.offered_qps:g} qps: {r.errors} wrong return value(s)")
+        ok_note = f" (tolerance {args.tolerance})"
+    else:
+        ok_note = "" if args.slo_gate else None
+    return _gate("serve", failures, out, ok_note)
 
 
 def _cmd_why(args, out) -> int:
-    import json
-
     from repro.analysis.critical_path import render_why, why_doc, why_report
-    from repro.analysis.serving import TrafficConfig, aim_kill_ns, run_serving
+    from repro.analysis.serving import TrafficConfig, run_serving
 
     base = TrafficConfig(
         scenario=args.scenario,
@@ -873,39 +868,37 @@ def _cmd_why(args, out) -> int:
         policy=args.policy,
         traced=True,
     )
-    try:
-        base.validate()
-        if args.kill_aim and args.nxps < 2:
-            raise ValueError("--kill-aim needs --nxps >= 2 (survivors)")
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    # In json mode the document must be alone on stdout (machine
-    # parseable); status notes and warnings go to stderr instead.
-    note_out = sys.stderr if args.format == "json" else out
-    result = run_serving(base)
+    base.validate()
+    notes, failures = [], []
     if args.kill_aim:
-        from dataclasses import replace
+        from repro.analysis.fleet import kill_drill
 
-        kill_at = aim_kill_ns(result, args.kill_device)
-        result = run_serving(
-            replace(base, kill_at_ns=kill_at, kill_device=args.kill_device)
+        if args.nxps < 2:
+            raise ValueError("--kill-aim needs --nxps >= 2 (survivors)")
+        drill = kill_drill(base, device=args.kill_device)
+        result = drill.killed
+        notes.append(
+            f"killed device {args.kill_device} at "
+            f"{result.config.kill_at_ns / 1000.0:.1f} us "
+            "(aimed at an in-flight leg observed in the baseline)"
         )
-        print(
-            f"killed device {args.kill_device} at {kill_at / 1000.0:.1f} us "
-            "(aimed at an in-flight leg observed in the baseline)",
-            file=note_out,
-        )
-    report = why_report(result.paths, percentile=args.percentile)
-    if args.format == "json":
-        out.write(json.dumps(why_doc(report), indent=2) + "\n")
+        if not drill.result.ok:
+            failures.append(
+                f"kill drill verdict {drill.result.verdict!r}: {drill.result.detail}"
+            )
     else:
-        print(render_why(report), file=out)
-    _warn_truncated([result], note_out)
-    return 0
+        result = run_serving(base)
+    report = why_report(result.paths, percentile=args.percentile)
+    _report(
+        args, out, lambda: why_doc(report), {"table": lambda: render_why(report)},
+        runs=[result], notes=notes,
+    )
+    return _gate("why", failures, out)
 
 
 def _cmd_fleet(args, out) -> int:
+    from dataclasses import replace
+
     from repro.analysis.fleet import (
         FleetConfig,
         fleet_report_doc,
@@ -913,91 +906,67 @@ def _cmd_fleet(args, out) -> int:
         render_chaos_summary,
         render_scaling_table,
         run_fleet,
-        write_fleet_report,
     )
     from repro.analysis.slo import evaluate_slo, parse_slo, render_slo
 
-    try:
-        slos = [parse_slo(spec) for spec in args.slo or []]
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
+    slos = [parse_slo(spec) for spec in args.slo or []]
     fc = FleetConfig.smoke() if args.smoke else FleetConfig()
     if args.revive_at_ns is not None:
-        from dataclasses import replace
-
         fc = replace(fc, chaos_revive_at_ns=args.revive_at_ns)
     report = run_fleet(fc, workers=args.workers)
+    chaos = report.chaos
 
-    if args.format == "json":
-        import json
+    def table() -> str:
+        return "\n".join(
+            [
+                "== scaling: throughput vs NxP count ==",
+                render_scaling_table(report.scaling),
+                "",
+                "== placement ablation ==",
+                render_ablation_table(report.ablation),
+                "",
+                "== chaos drain ==",
+                render_chaos_summary(chaos),
+            ]
+        )
 
-        out.write(json.dumps(fleet_report_doc(report), indent=2) + "\n")
-    else:
-        print("== scaling: throughput vs NxP count ==", file=out)
-        print(render_scaling_table(report.scaling), file=out)
-        print("", file=out)
-        print("== placement ablation ==", file=out)
-        print(render_ablation_table(report.ablation), file=out)
-        print("", file=out)
-        print("== chaos drain ==", file=out)
-        print(render_chaos_summary(report.chaos), file=out)
-    _warn_truncated([report.chaos.baseline, report.chaos.killed], out)
-    if args.out:
-        write_fleet_report(report, args.out)
-        print(f"fleet report -> {args.out}", file=out)
+    _report(
+        args, out, lambda: fleet_report_doc(report), {"table": table},
+        runs=[chaos.baseline, chaos.killed],
+    )
 
-    slo_failures = []
+    failures = []
     for slo in slos:
-        for label, run in (
-            ("baseline", report.chaos.baseline),
-            ("killed", report.chaos.killed),
-        ):
+        for label, run in (("baseline", chaos.baseline), ("killed", chaos.killed)):
             rep = evaluate_slo(run.completed_records, slo, shed=run.shed)
-            verdict = render_slo(rep).splitlines()[0]
-            print(f"chaos {label}: {verdict}", file=out)
+            print(f"chaos {label}: {render_slo(rep).splitlines()[0]}", file=out)
             if not rep.ok:
-                slo_failures.append(f"chaos {label} violates {slo.spec}")
-
-    if args.gate:
-        bad = list(slo_failures)
-        if not report.chaos.all_served_ok:
-            bad.append(
-                f"chaos drain lost requests or returned wrong values "
-                f"({report.chaos.killed.errors} errors)"
+                failures.append(f"chaos {label} violates {slo.spec}")
+    if not args.gate:
+        return 0
+    if not chaos.result.ok:
+        failures.append(
+            f"kill drill verdict {chaos.result.verdict!r}: {chaos.result.detail}"
+        )
+    peaks = [pt.peak_achieved_qps for pt in report.scaling]
+    if any(b <= a for a, b in zip(peaks, peaks[1:])):
+        failures.append(
+            "peak achieved QPS does not rise with device count: "
+            + ", ".join(f"{p:.0f}" for p in peaks)
+        )
+    for row in report.ablation:
+        if row.result.errors:
+            failures.append(
+                f"ablation policy {row.policy!r}: "
+                f"{row.result.errors} wrong return value(s)"
             )
-        if args.revive_at_ns is not None and report.chaos.verdict != "recovered":
-            bad.append(
-                f"kill-then-revive drain verdict {report.chaos.verdict!r}: "
-                f"revived={report.chaos.revived} post-revival "
-                f"share={report.chaos.post_revival_share:.2f} "
-                "(expected the killed device back in service)"
-            )
-        peaks = [pt.peak_achieved_qps for pt in report.scaling]
-        if any(b <= a for a, b in zip(peaks, peaks[1:])):
-            bad.append(
-                "peak achieved QPS does not rise with device count: "
-                + ", ".join(f"{p:.0f}" for p in peaks)
-            )
-        for row in report.ablation:
-            if row.result.errors:
-                bad.append(
-                    f"ablation policy {row.policy!r}: "
-                    f"{row.result.errors} wrong return value(s)"
-                )
-        if bad:
-            print("fleet gate FAILED:", file=out)
-            for line in bad:
-                print(f"  {line}", file=out)
-            return 1
-        print("fleet gate ok", file=out)
-    return 0
+    return _gate("fleet", failures, out, ok_note="")
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    handlers = {
+    programs = {
         "run": _cmd_run,
         "compile": _cmd_compile,
         "disasm": _cmd_disasm,
@@ -1005,12 +974,17 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "profile": _cmd_profile,
         "metrics": _cmd_metrics,
         "bench": _cmd_bench,
-        "chaos": _cmd_chaos,
-        "serve": _cmd_serve,
-        "why": _cmd_why,
-        "fleet": _cmd_fleet,
     }
-    return handlers[args.command](args, out)
+    if args.command in programs:
+        return programs[args.command](args, out)
+    analyses = {"chaos": _cmd_chaos, "serve": _cmd_serve, "why": _cmd_why, "fleet": _cmd_fleet}
+    try:
+        return analyses[args.command](args, out)
+    except ValueError as exc:
+        # An analysis command's flag, traffic, scenario or drill failed
+        # validation: a usage error, not a crash.
+        print(f"error: {exc}", file=out)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,7 +4,7 @@ A module-scoped tiny study (one load point, two device counts) backs
 most assertions so the expensive serving runs happen once.  Pinned here:
 traffic validation for the fleet knobs, worker-count determinism of the
 flattened sweep, the chaos drain's zero-loss contract, the ablation's
-session accounting, and the ``flick.fleet.v2`` document shape.
+session accounting, and the ``flick.fleet.v3`` document shape.
 """
 
 import json
@@ -126,7 +126,7 @@ class TestChaosDrain:
         assert killed_share < baseline_share
 
     def test_standalone_drain_mode(self):
-        outcome = chaos_drain(replace_kill(TINY, "drain"), workers=1)
+        outcome = chaos_drain(replace_kill(TINY, "drain"))
         assert outcome.all_served_ok
         assert outcome.kill_mode == "drain"
 
@@ -140,7 +140,7 @@ def replace_kill(fc, mode):
 class TestReportDoc:
     def test_schema_and_json_round_trip(self, tiny_report):
         doc = fleet_report_doc(tiny_report)
-        assert doc["schema"] == "flick.fleet.v2"
+        assert doc["schema"] == "flick.fleet.v3"
         again = json.loads(json.dumps(doc))
         assert [s["nxps"] for s in again["scaling"]] == [1, 2]
         assert again["chaos"]["all_served_ok"] is True

@@ -11,9 +11,12 @@ import pytest
 
 from repro.analysis.chaos import (
     DEFAULT_BOUND_NS,
+    Scenario,
+    matrix_scenarios,
+    named_scenarios,
     render_verdicts,
-    run_chaos_case,
     run_chaos_matrix,
+    run_scenario,
 )
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.errors import ProcessCrash
@@ -84,6 +87,31 @@ class TestDeadNxpDegradation:
         assert first == second
 
 
+class TestFastPathsOff:
+    """Every named scenario classifies identically with the engine fast
+    path, the JIT, the decode cache and the translation fast path all
+    off: the fast paths are timing-exact, so no verdict, return value,
+    simulated time or fault count may move."""
+
+    def test_named_scenarios_unchanged(self):
+        slow = DEFAULT_CONFIG.with_overrides(
+            engine_fast_path=False,
+            jit_enabled=False,
+            decode_cache=False,
+            translation_fast_path=False,
+        )
+        scenarios = matrix_scenarios() + list(named_scenarios().values())
+        assert len(scenarios) == 34
+        moved = [
+            (fast, off)
+            for fast, off in (
+                (run_scenario(s), run_scenario(s, cfg=slow)) for s in scenarios
+            )
+            if fast != off
+        ]
+        assert not moved, moved
+
+
 class TestMidSessionDeath:
     """NxP dying while it holds suspended frames is a typed crash."""
 
@@ -109,11 +137,11 @@ class TestMidSessionDeath:
 class TestCaseAPI:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):
-            run_chaos_case(FaultPlan(), "not_a_workload")
+            run_scenario(Scenario("none", "not_a_workload", plan=FaultPlan()))
 
     def test_mismatch_detection(self):
         plan = builtin_plans(7)["none"]
-        result = run_chaos_case(plan, "null_call", expected=999)
+        result = run_scenario(Scenario(plan.name, "null_call", plan=plan), expected=999)
         assert result.verdict == "mismatch"
         assert not result.ok
 
@@ -153,7 +181,7 @@ class TestSignedRetval:
 
         monkeypatch.setattr(chaos, "NULL_CALL_SRC", NEGATIVE_NULL_CALL_SRC)
         plan = builtin_plans(3)["none"]
-        result = run_chaos_case(plan, "null_call", expected=-20)
+        result = run_scenario(Scenario(plan.name, "null_call", plan=plan), expected=-20)
         assert result.verdict == "survived"
         assert result.retval == -20
 
@@ -185,6 +213,8 @@ class TestSignedRetval:
 
         monkeypatch.setattr(chaos, "_chase_program", negative_program)
         plan = builtin_plans(3)["none"]
-        result = run_chaos_case(plan, "pointer_chase", expected=-14 * chaos.CHASE_CALLS)
+        result = run_scenario(
+            Scenario(plan.name, "pointer_chase", plan=plan), expected=-14 * chaos.CHASE_CALLS
+        )
         assert result.verdict == "survived"
         assert result.retval == -14 * chaos.CHASE_CALLS

@@ -25,7 +25,9 @@ from repro.core.errors import (
     UnhandledVector,
     VectorAlreadyClaimed,
 )
+from repro.core.config import FlickConfig
 from repro.core.health import HealthState, NxpHealth
+from repro.core.machine import signed_retval
 from repro.memory.paging import PageFault
 from repro.sim.faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultRule, builtin_plans
 
@@ -246,3 +248,45 @@ class TestCrashContext:
         assert "read access" in str(root)
         assert f"pc={root.pc:#x}" in str(root)
         assert root.fault is not None and root.fault.access_kind == "read"
+
+
+class TestInboundSequenceIsPerProcess:
+    """The kernel's n2h high-water mark belongs to the process, like the
+    pid and ``h2n_seq``: threads of a pooled process take turns, and a
+    late duplicate of one thread's reply must not wake the next."""
+
+    SOURCE = """
+    @nxp func work(x, n) { var i = 0; while (i < n) { i = i + 1; } return x + 1; }
+    func main(x, n) { return work(x, n); }
+    """
+
+    def test_late_duplicate_reply_is_not_delivered_to_the_next_thread(self):
+        # The first reply is delayed past the 50 us watchdog, so the
+        # host retransmits, the NxP replays the cached reply and the
+        # first thread finishes on the replay.  The delayed original
+        # lands while the second thread waits on its own long leg.
+        machine = FlickMachine(
+            FlickConfig(
+                faults=(
+                    FaultRule("dma_delay", direction="n2h", nth=1, delay_ns=100_000.0),
+                ),
+                migration_watchdog_ns=50_000.0,
+            )
+        )
+        process = machine.load(machine.compile(self.SOURCE))
+        retvals = []
+
+        def requests():
+            for x, n in ((10, 1), (20, 400)):
+                thread = machine.spawn(process, args=[x, n])
+                yield thread.proc
+                retvals.append(signed_retval(thread.result))
+
+        machine.sim.spawn(requests(), name="requests")
+        machine.run()
+        assert retvals == [11, 21]
+        stats = machine.stats.snapshot()
+        assert stats["nxp.replay"] >= 1
+        late = [e for e in machine.trace.events if e.name == "late_delivery"]
+        assert [e.attrs["seq"] for e in late if e.pid == process.pid][:1] == [1]
+        assert stats["kernel.late_delivery"] == len(late)

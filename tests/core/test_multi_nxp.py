@@ -16,7 +16,7 @@ Three invariants anchor the fleet layer:
 
 import pytest
 
-from repro.analysis.chaos import run_fleet_kill_case
+from repro.analysis.chaos import Scenario, named_scenarios, run_scenario
 from repro.core.config import FlickConfig
 from repro.core.hosted import HostedMachine, HostedProgram
 from repro.core.machine import FlickMachine
@@ -173,19 +173,19 @@ class TestKillSemantics:
             machine.kill_nxp(0, mode="gently")
 
     def test_abrupt_kill_mid_run_is_recovered(self):
-        result = run_fleet_kill_case(kill_mode="abrupt")
+        result = run_scenario(named_scenarios()["kill-abrupt"])
         assert result.verdict == "survived", result.detail
         assert result.retval == result.expected == 12
         assert result.degraded_calls == 0
 
     def test_drain_kill_mid_run_completes_in_flight(self):
-        result = run_fleet_kill_case(kill_mode="drain")
+        result = run_scenario(named_scenarios()["kill-drain"])
         assert result.verdict == "survived", result.detail
         assert result.retval == result.expected == 12
 
     def test_kill_case_validates_topology(self):
         with pytest.raises(ValueError):
-            run_fleet_kill_case(nxps=1)
+            run_scenario(Scenario("kill-one-of-one", devices=1, kill_at_ns=5_000.0))
 
 
 DEEP = """

@@ -21,17 +21,16 @@ Five invariants anchor the robustness layer:
    with a typed reason (no hangs, completed p99 within deadline).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.chaos import (
-    run_fleet_revive_case,
-    run_overload_storm_case,
-)
+from repro.analysis.chaos import named_scenarios, run_scenario
 from repro.analysis.serving import TrafficConfig, run_serving, sweep_latency_vs_load
 from repro.core.config import RING_SLOTS, FlickConfig
 from repro.core.health import HealthState, NxpHealth, RetryBudget
 from repro.core.machine import FlickMachine
-from repro.sim.faults import FaultRule
+from repro.sim.faults import FaultPlan, FaultRule
 from repro.sim.stats import quantile
 
 #: Armed-but-quiet plan: hardens the protocol without ever firing.
@@ -233,10 +232,19 @@ class TestReviveSemantics:
 
 class TestOverloadStorm:
     def test_storm_sheds_typed_and_caps_retries(self):
-        result = run_overload_storm_case()
+        result = run_scenario(named_scenarios()["overload-storm"])
         assert result.verdict not in ("hung", "mismatch", "crashed")
         assert result.verdict == "shed"
         assert "retry budget denied" in result.detail
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_storm_returns_no_wrong_value_at_any_seed(self, seed):
+        # Regression: a fresh thread on a pooled process accepted its
+        # predecessor's late duplicate reply, so seeds 4, 5, 6, 7 and 10
+        # returned wrong values.
+        result = run_scenario(named_scenarios(seed)["overload-storm"])
+        assert result.verdict != "mismatch", result.detail
+        assert result.ok, result.detail
 
     def test_deadline_run_completes_or_sheds_within_budget(self):
         deadline_ns = 500_000.0
@@ -320,9 +328,21 @@ class TestKillThenRevive:
         assert serial.post_revival_sessions == pooled.post_revival_sessions
 
     def test_chaos_revive_case_recovers(self):
-        result = run_fleet_revive_case()
+        result = run_scenario(named_scenarios()["kill-revive"])
         assert result.verdict == "recovered"
         assert "revived" in result.detail
+
+    def test_revived_device_that_flaps_back_to_dead_is_hung(self):
+        # The revived device's first half-open probe session crashes and
+        # re-trips the breaker.  A post-revive session was placed and
+        # the survivor finishes the workload correctly, but the device
+        # ends DEAD: it did not recover.
+        revive = named_scenarios()["kill-revive"]
+        crash = FaultRule("nxp_crash", after_ns=revive.revive_at_ns)
+        result = run_scenario(replace(revive, plan=FaultPlan((crash,), seed=1)))
+        assert result.retval == result.expected
+        assert result.verdict == "hung"
+        assert "post-revive sessions=1, health=dead" in result.detail
 
 
 class TestOneProtocolRules:

@@ -7,8 +7,9 @@ import pytest
 
 from repro.tools.cli import build_parser, main
 
+ROOT = Path(__file__).parents[2]
 #: the two-function demo CI also runs every file-taking command on
-DEMO = (Path(__file__).parents[2] / "examples" / "demo.fc").read_text()
+DEMO = (ROOT / "examples" / "demo.fc").read_text()
 
 
 @pytest.fixture
@@ -162,6 +163,50 @@ class TestServe:
         code, out = run_cli(["serve", "--scenario", "mixed"])
         assert code == 0
         assert "scenario=mixed" in out
+
+
+class TestAnalysisUsageErrors:
+    """A validation error prints ``error: ...`` and exits 2 (no traceback)."""
+
+    def test_chaos_unknown_workload(self):
+        code, out = run_cli(["chaos", "--workloads", "foo"])
+        assert code == 2
+        assert out.startswith("error: unknown workload 'foo'")
+
+    def test_chaos_empty_workload_list(self):
+        code, out = run_cli(["chaos", "--workloads"])
+        assert code == 2
+        assert out.startswith("error: no workloads selected")
+
+    def test_fleet_revive_before_the_aimed_kill(self):
+        code, out = run_cli(["fleet", "--smoke", "--revive-at-ns", "1000"])
+        assert code == 2
+        assert "error: revive_at_ns=1000 is not after kill_at_ns=" in out
+
+    def test_program_commands_keep_their_tracebacks(self, monkeypatch, demo_file):
+        # Only the analysis commands turn a ValueError into a usage
+        # error; one from loading or running a program is a real fault.
+        def broken_load(args, out):
+            raise ValueError("segment overlaps the NxP window")
+
+        monkeypatch.setattr("repro.tools.cli._cmd_run", broken_load)
+        with pytest.raises(ValueError, match="segment overlaps"):
+            run_cli(["run", demo_file])
+
+
+class TestKillAimDrill:
+    COMMAND = (
+        "python -m repro why --kill-aim --nxps 2 --policy round_robin "
+        "--qps 20000 --requests 120 --seed 7"
+    )
+
+    def test_reproduces_the_experiments_block(self):
+        text = (ROOT / "EXPERIMENTS.md").read_text()
+        block = text.split(f"$ {self.COMMAND}\n", 1)[1].split("```", 1)[0]
+        code, out = run_cli(self.COMMAND.split()[3:])
+        assert code == 0
+        # The block quotes the report up to its table's last row.
+        assert out.startswith(block), out
 
 
 class TestMetrics:
