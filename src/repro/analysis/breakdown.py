@@ -26,16 +26,12 @@ Phases of one host→NxP→host session:
 The ~0.7 µs page-fault entry precedes the first trace event and is
 reported separately from config (it happens before the handler exists).
 
-Session pairing is **per pid with a stack**: every event attributes to
-the innermost open session of *its own* task, so two concurrent
-migrating tasks whose phases interleave in the global event stream can
-never conflate, and device-scoped events (``pid is None``) never enter
-session state at all.  **Nested sessions are decomposed, not skipped**:
-a session containing NxP→host calls reports its NxP-resident legs under
-``nxp_execute`` and the away-time under ``nested_host``; a nested
-host→NxP session (a host function, called from the NxP, migrating
-again) is measured as its own inner session.  The phases of one session
-tile its duration exactly: ``sum(phases) == done - start``.
+Sessions are cut by the phase model the request critical paths read
+too, :func:`repro.analysis.critical_path.session_skeletons`, per pid,
+so the phases of one session tile its duration exactly and concurrent
+tasks never conflate.  A nested host→NxP session is measured as its own
+session; a session that fell back to host emulation stays out of the
+means.
 
 Analyses refuse to run on a truncated trace (the ring dropped events)
 unless ``allow_truncated=True``, because a windowed trace yields
@@ -44,10 +40,10 @@ corrupted means without any other symptom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from repro.core.descriptors import KIND_CALL
+from repro.analysis.critical_path import _tile, session_skeletons
 from repro.core.trace import MigrationTrace, TraceTruncated
 
 __all__ = [
@@ -69,41 +65,6 @@ _PHASES = (
 
 
 @dataclass
-class _Session:
-    """One host→NxP→host session being assembled from per-pid events."""
-
-    pid: int
-    start: float
-    dma_out: Optional[float] = None
-    dispatch: Optional[float] = None
-    nxp_done: Optional[float] = None
-    irq: Optional[float] = None
-    done: Optional[float] = None
-    leg_start: Optional[float] = None
-    nested_start: Optional[float] = None
-    leg_intervals: List[Tuple[float, float]] = field(default_factory=list)
-    nested_intervals: List[Tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return None not in (self.dma_out, self.dispatch, self.nxp_done, self.irq, self.done)
-
-    @property
-    def nested(self) -> bool:
-        return bool(self.nested_intervals)
-
-    def phases(self) -> Dict[str, float]:
-        return {
-            "host_out": self.dma_out - self.start,
-            "transfer_to_nxp": self.dispatch - self.dma_out,
-            "nxp_execute": sum(b - a for a, b in self.leg_intervals),
-            "nested_host": sum(b - a for a, b in self.nested_intervals),
-            "return_to_host": self.irq - self.nxp_done,
-            "host_resume": self.done - self.irq,
-        }
-
-
-@dataclass
 class PhaseBreakdown:
     """Mean per-phase latency over the measured migrations (ns)."""
 
@@ -116,65 +77,32 @@ class PhaseBreakdown:
         return sum(self.phases.values())
 
 
-def _collect_sessions(
-    trace: MigrationTrace, pid: Optional[int] = None, allow_truncated: bool = False
-) -> List[_Session]:
-    """Pair the trace's point events into per-pid migration sessions."""
+def _served_sessions(trace: MigrationTrace, pid: Optional[int], allow_truncated: bool) -> list:
+    """``(session, skeleton)`` for every session an NxP served."""
     if trace.truncated and not allow_truncated:
         raise TraceTruncated(
             f"trace dropped {trace.dropped} events ({trace.spans_dropped} spans); "
             f"phase means over a truncated trace would be corrupted — raise the "
             f"trace limit or pass allow_truncated=True to analyze the window"
         )
-    stacks: Dict[int, List[_Session]] = {}
-    sessions: List[_Session] = []
-    for event in trace.events:
-        epid = event.pid
-        if epid is None:
-            continue  # device-scoped events never enter session state
-        if pid is not None and epid != pid:
-            continue
-        stack = stacks.setdefault(epid, [])
-        name = event.name
-        t = event.time
-        if name == "h2n_call_start":
-            stack.append(_Session(epid, t))
-            continue
-        if not stack:
-            continue
-        s = stack[-1]
-        if name == "dma_h2n":
-            if event.attrs.get("kind") == KIND_CALL and s.dma_out is None:
-                s.dma_out = t
-        elif name == "nxp_dispatch_call":
-            if s.dispatch is None:
-                s.dispatch = t
-            s.leg_start = t
-        elif name == "nxp_dispatch_return":
-            # Back on the NxP after a nested NxP→host call completed.
-            if s.nested_start is not None:
-                s.nested_intervals.append((s.nested_start, t))
-                s.nested_start = None
-            s.leg_start = t
-        elif name == "n2h_call":
-            if s.leg_start is not None:
-                s.leg_intervals.append((s.leg_start, t))
-                s.leg_start = None
-            s.nested_start = t
-        elif name == "n2h_return":
-            if s.leg_start is not None:
-                s.leg_intervals.append((s.leg_start, t))
-                s.leg_start = None
-            s.nxp_done = t
-        elif name == "irq":
-            if event.attrs.get("kind") == "return" and s.nxp_done is not None and s.irq is None:
-                s.irq = t
-        elif name == "h2n_call_done":
-            stack.pop()
-            s.done = t
-            if s.complete:
-                sessions.append(s)
-    return sessions
+    return [
+        (session, skeleton)
+        for session, _legs, skeleton in session_skeletons(trace.finished_spans(), trace.events)
+        if skeleton and (pid is None or session.pid == pid)
+    ]
+
+
+def _mean(served: list) -> PhaseBreakdown:
+    totals = dict.fromkeys(_PHASES, 0.0)
+    nested = 0
+    for s, skeleton in served:
+        phases = _tile(s.start, s.end, skeleton)
+        nested += "nested_host" in phases
+        for phase, ns in phases.items():
+            totals[phase] += ns
+    n = len(served)
+    means = {phase: total / n for phase, total in totals.items()} if n else totals
+    return PhaseBreakdown(phases=means, sessions=n, nested_sessions=nested)
 
 
 def measure_breakdown(
@@ -183,81 +111,48 @@ def measure_breakdown(
     """Extract per-phase means for H2N sessions (nested ones decomposed).
 
     ``pid`` restricts the measurement to one task; without it, sessions
-    of every pid contribute to the means (still paired per-pid — use
+    of every pid contribute to the means (still cut per pid — use
     :func:`measure_breakdown_by_pid` for separate per-task results).
     Raises :class:`~repro.core.trace.TraceTruncated` when the trace ring
     dropped events, unless ``allow_truncated`` is set.
     """
-    sessions = _collect_sessions(trace, pid=pid, allow_truncated=allow_truncated)
-    if not sessions:
-        return PhaseBreakdown(phases={p: 0.0 for p in _PHASES}, sessions=0)
-    per_session = [s.phases() for s in sessions]
-    means = {
-        phase: sum(p[phase] for p in per_session) / len(per_session) for phase in _PHASES
-    }
-    return PhaseBreakdown(
-        phases=means,
-        sessions=len(sessions),
-        nested_sessions=sum(1 for s in sessions if s.nested),
-    )
+    return _mean(_served_sessions(trace, pid, allow_truncated))
 
 
 def measure_breakdown_by_pid(
     trace: MigrationTrace, allow_truncated: bool = False
 ) -> Dict[int, PhaseBreakdown]:
     """Per-task phase means: one :class:`PhaseBreakdown` per migrating pid."""
-    sessions = _collect_sessions(trace, allow_truncated=allow_truncated)
-    by_pid: Dict[int, List[_Session]] = {}
-    for s in sessions:
-        by_pid.setdefault(s.pid, []).append(s)
-    out: Dict[int, PhaseBreakdown] = {}
-    for pid, group in sorted(by_pid.items()):
-        per_session = [s.phases() for s in group]
-        means = {
-            phase: sum(p[phase] for p in per_session) / len(per_session)
-            for phase in _PHASES
-        }
-        out[pid] = PhaseBreakdown(
-            phases=means,
-            sessions=len(group),
-            nested_sessions=sum(1 for s in group if s.nested),
-        )
-    return out
+    by_pid: Dict[int, list] = {}
+    for served in _served_sessions(trace, None, allow_truncated):
+        by_pid.setdefault(served[0].pid, []).append(served)
+    return {pid: _mean(group) for pid, group in sorted(by_pid.items())}
 
 
 def chrome_phase_events(
     trace: MigrationTrace, allow_truncated: bool = False
 ) -> List[dict]:
     """Derived Chrome ``trace_event`` entries: one complete ("X") span
-    per migration phase per session, on the owning pid's track.
+    per skeleton interval per session, on the owning pid's track, in
+    :data:`_PHASES` order.
 
     Feed these to :meth:`MigrationTrace.to_chrome`'s ``extra_events`` to
     overlay the measured phase decomposition on the raw event timeline.
     """
-    out: List[dict] = []
-
-    def span(name: str, pid: int, t0: float, t1: float) -> dict:
-        return {
-            "name": name,
+    return [
+        {
+            "name": phase,
             "cat": "phase",
             "ph": "X",
-            "ts": t0 / 1000.0,
-            "dur": (t1 - t0) / 1000.0,
-            "pid": pid,
-            "tid": pid,
+            "ts": a / 1000.0,
+            "dur": (b - a) / 1000.0,
+            "pid": s.pid,
+            "tid": s.pid,
             "args": {},
         }
-
-    for s in _collect_sessions(trace, allow_truncated=allow_truncated):
-        out.append(span("host_out", s.pid, s.start, s.dma_out))
-        out.append(span("transfer_to_nxp", s.pid, s.dma_out, s.dispatch))
-        for a, b in s.leg_intervals:
-            out.append(span("nxp_execute", s.pid, a, b))
-        for a, b in s.nested_intervals:
-            out.append(span("nested_host", s.pid, a, b))
-        out.append(span("return_to_host", s.pid, s.nxp_done, s.irq))
-        out.append(span("host_resume", s.pid, s.irq, s.done))
-    return out
+        for s, skeleton in _served_sessions(trace, None, allow_truncated)
+        for phase, a, b in sorted(skeleton, key=lambda interval: _PHASES.index(interval[0]))
+    ]
 
 
 def render_breakdown(breakdown: PhaseBreakdown, page_fault_ns: float = 700.0) -> str:

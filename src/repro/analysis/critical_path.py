@@ -28,6 +28,13 @@ failover       watchdog waits + recovery re-placed on *another* device
 fallback       degraded host-emulation of NISA code (device(s) dead)
 ============== ==========================================================
 
+Sessions enter a request through :func:`session_skeletons`, the phase
+model the per-session breakdown reads too: a session's legs (its
+skeleton's ``nxp_execute`` intervals, or the legs that ran before it
+fell back) claim ``nxp_execute`` and the whole session
+``protocol_host``, which the cause claims (DMA bursts, nested host
+execution, recovery, fallback) refine.
+
 The tiling is computed by *elementary-interval decomposition*: every
 claim (span or derived interval) is clipped to the request window, the
 window is cut at every claim boundary, and each elementary slice is
@@ -36,7 +43,8 @@ causal specificity — NxP residency beats the session that contains it,
 a recovery interval beats the doomed DMA burst inside it — and the
 slices of one request partition its window by construction, so the
 phase sums tile the latency exactly (property-tested in
-``tests/analysis/test_critical_path.py``).
+``tests/analysis/test_critical_path.py``).  :func:`_tile` does this
+for requests and sessions alike.
 
 Tail attribution buckets requests into percentile bands, aggregates
 phase breakdowns per band, and names the dominant phase of the tail
@@ -47,8 +55,12 @@ plus exemplar trace ids — the ``python -m repro why`` report
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.core.descriptors import KIND_CALL
+from repro.core.trace import Span
 
 __all__ = [
     "PHASES",
@@ -56,6 +68,7 @@ __all__ = [
     "TailBand",
     "WhyReport",
     "extract_request_paths",
+    "session_skeletons",
     "tail_attribution",
     "why_report",
     "render_why",
@@ -90,14 +103,24 @@ _CULPRITS = {
     "fallback": "degraded mode: host-fallback emulation of NISA code dominates",
 }
 
-# Claim priorities: lower wins.  See module docstring.
-_PRI_NXP = 0
-_PRI_RECOVERY = 1
-_PRI_DMA = 2
-_PRI_FALLBACK = 3
-_PRI_NESTED = 4
-_PRI_SESSION = 5
-_PRI_QUEUE = 6
+#: A claim on a stretch of time: ``(phase, start, end)``.
+_Claim = Tuple[str, float, float]
+
+#: Request claim priorities by phase: lower wins.  See module docstring.
+_PRIORITY = {
+    "nxp_execute": 0,
+    "retry_backoff": 1,
+    "failover": 1,
+    "dma_h2n": 2,
+    "dma_n2h": 2,
+    "fallback": 3,
+    "nested_host": 4,
+    "protocol_host": 5,
+    "queue_wait": 6,
+}
+
+#: The cause spans a request claims directly, by the phase they claim.
+_SPAN_PHASES = {"dma.h2n": "dma_h2n", "dma.n2h": "dma_n2h", "n2h_host_exec": "nested_host"}
 
 
 @dataclass(frozen=True)
@@ -162,7 +185,7 @@ def _group_by_trace_id(items) -> Dict[str, list]:
     return out
 
 
-def _recovery_claims(events, t1: float) -> List[Tuple[int, str, float, float]]:
+def _recovery_claims(events, t1: float) -> List[_Claim]:
     """Derive retry/failover intervals from a request's point events.
 
     Each ``watchdog_trip`` denotes one lost leg: the interval from that
@@ -173,7 +196,7 @@ def _recovery_claims(events, t1: float) -> List[Tuple[int, str, float, float]]:
     window the leg was re-placed on another device: the interval is
     ``failover``; otherwise it is ``retry_backoff``.
     """
-    claims: List[Tuple[int, str, float, float]] = []
+    claims: List[_Claim] = []
     events = sorted(events, key=lambda e: e.time)
     kicks = [e.time for e in events if e.name == "dma_h2n"]
     for i, ev in enumerate(events):
@@ -192,26 +215,72 @@ def _recovery_claims(events, t1: float) -> List[Tuple[int, str, float, float]]:
                 break
         if nxt > start:
             phase = "failover" if failover else "retry_backoff"
-            claims.append((_PRI_RECOVERY, phase, start, nxt))
+            claims.append((phase, start, nxt))
     return claims
 
 
-def _span_claims(spans) -> List[Tuple[int, str, float, float]]:
-    claims: List[Tuple[int, str, float, float]] = []
-    for s in spans:
-        if s.end is None:
-            continue
+def session_skeletons(spans, events) -> List[Tuple[Span, List[Span], List[_Claim]]]:
+    """Cut every finished migration session into its skeleton.
+
+    Returns ``(session, legs, skeleton)`` per finished ``h2n_session``
+    span, in the order of ``spans`` (finish order, as traces keep them).
+    ``legs`` are the session's ``nxp_resident`` spans, one level deeper
+    on the pid's span stack, in start order.  The skeleton's ``(phase,
+    start, end)`` intervals partition the session: the legs are
+    ``nxp_execute`` and the gaps between them ``nested_host``; the first
+    call-kind ``dma_h2n`` kick ends ``host_out``, the first leg
+    ``transfer_to_nxp``, the first return-kind ``irq`` after the last
+    leg ``return_to_host``, and the session's end ``host_resume``.  It is
+    empty when no NxP served the session to the end (no leg, a
+    ``degraded_done`` fallback end, or a missing kick or IRQ).
+    """
+    kicks: Dict[Optional[int], List[float]] = {}
+    irqs: Dict[Optional[int], List[float]] = {}
+    fell_back = set()
+    for e in [e for e in events if e.name in ("dma_h2n", "irq", "degraded_done")]:
+        if e.name == "degraded_done":
+            fell_back.add((e.pid, e.time))
+        elif e.name == "irq":
+            if e.attrs.get("kind") == "return":
+                irqs.setdefault(e.pid, []).append(e.time)
+        elif e.attrs.get("kind") == KIND_CALL:
+            kicks.setdefault(e.pid, []).append(e.time)
+    out = []
+    unclaimed: Dict[Optional[int], list] = {}  # per pid: finished legs
+    for s in [s for s in spans if s.name in ("h2n_session", "nxp_resident") and s.end is not None]:
         if s.name == "nxp_resident":
-            claims.append((_PRI_NXP, "nxp_execute", s.start, s.end))
-        elif s.name == "dma.h2n":
-            claims.append((_PRI_DMA, "dma_h2n", s.start, s.end))
-        elif s.name == "dma.n2h":
-            claims.append((_PRI_DMA, "dma_n2h", s.start, s.end))
-        elif s.name == "n2h_host_exec":
-            claims.append((_PRI_NESTED, "nested_host", s.start, s.end))
-        elif s.name == "h2n_session":
-            claims.append((_PRI_SESSION, "protocol_host", s.start, s.end))
-    return claims
+            unclaimed.setdefault(s.pid, []).append(s)
+            continue
+        # A session finishes after its legs, and after any nested
+        # session, which has already claimed its own legs.
+        legs = unclaimed.get(s.pid, [])
+        own = []
+        while legs and legs[-1].end > s.start:
+            leg = legs.pop()
+            if leg.start >= s.start and leg.depth == s.depth + 1:
+                own.append(leg)
+        own.reverse()
+        kick = irq = None
+        if own and (s.pid, s.end) not in fell_back:
+            kick = _first_between(kicks.get(s.pid, ()), s.start, own[0].start)
+            irq = _first_between(irqs.get(s.pid, ()), own[-1].end, s.end)
+        if kick is None or irq is None:
+            out.append((s, own, []))
+            continue
+        skeleton = [("host_out", s.start, kick), ("transfer_to_nxp", kick, own[0].start)]
+        for i, leg in enumerate(own):
+            if i:
+                skeleton.append(("nested_host", own[i - 1].end, leg.start))
+            skeleton.append(("nxp_execute", leg.start, leg.end))
+        skeleton += [("return_to_host", own[-1].end, irq), ("host_resume", irq, s.end)]
+        out.append((s, own, skeleton))
+    return out
+
+
+def _first_between(times, lo: float, hi: float) -> Optional[float]:
+    """The first of the sorted ``times`` in ``[lo, hi]``, if any."""
+    i = bisect_left(times, lo)
+    return times[i] if i < len(times) and times[i] <= hi else None
 
 
 def extract_request_paths(trace, records: Sequence) -> List["RequestPath"]:
@@ -245,13 +314,19 @@ def extract_request_paths(trace, records: Sequence) -> List["RequestPath"]:
 def _build_path(rec, tid: str, spans, events) -> RequestPath:
     t0 = rec.arrival_ns
     t1 = rec.end_ns
-    claims: List[Tuple[int, str, float, float]] = []
+    claims: List[_Claim] = [
+        (_SPAN_PHASES[s.name], s.start, s.end)
+        for s in spans
+        if s.name in _SPAN_PHASES and s.end is not None
+    ]
 
     thread_start: Optional[float] = None
     for s in spans:
         if s.name == "thread":
             thread_start = s.start if thread_start is None else min(thread_start, s.start)
-    claims.extend(_span_claims(spans))
+    for session, legs, _skeleton in session_skeletons(spans, events):
+        claims.append(("protocol_host", session.start, session.end))
+        claims.extend(("nxp_execute", leg.start, leg.end) for leg in legs)
     claims.extend(_recovery_claims(events, t1))
 
     # Degraded execution: degraded_call -> degraded_done point events.
@@ -263,15 +338,16 @@ def _build_path(rec, tid: str, spans, events) -> RequestPath:
             if pending_call is None:
                 pending_call = ev.time
         elif ev.name == "degraded_done" and pending_call is not None:
-            claims.append((_PRI_FALLBACK, "fallback", pending_call, ev.time))
+            claims.append(("fallback", pending_call, ev.time))
             pending_call = None
     if pending_call is not None:
-        claims.append((_PRI_FALLBACK, "fallback", pending_call, t1))
+        claims.append(("fallback", pending_call, t1))
 
     # Queue wait: arrival until the request's thread starts running.
     if thread_start is not None and thread_start > t0:
-        claims.append((_PRI_QUEUE, "queue_wait", t0, thread_start))
+        claims.append(("queue_wait", t0, thread_start))
 
+    claims.sort(key=lambda claim: _PRIORITY[claim[0]])  # stable
     phases = _tile(t0, t1, claims)
 
     devices = set()
@@ -300,36 +376,57 @@ def _build_path(rec, tid: str, spans, events) -> RequestPath:
     )
 
 
-def _tile(t0: float, t1: float, claims: List[Tuple[int, str, float, float]]) -> Dict[str, float]:
-    """Partition [t0, t1] among the claims by elementary intervals.
+def _tile(t0: float, t1: float, claims: Sequence[_Claim]) -> Dict[str, float]:
+    """Partition [t0, t1] among the claims; sum each phase's slices.
 
-    Every boundary of every (clipped) claim cuts the window; each slice
-    goes to the lowest-priority-number claim covering it, defaulting to
-    ``host_execute``.  Per-phase sums use ``math.fsum`` so the tiling is
-    as exact as the float representation allows.
+    Every boundary of every (clipped) claim cuts the window, and each
+    slice goes to the first claim in ``claims`` that covers it (callers
+    list claims in precedence order), defaulting to ``host_execute``.
+    Claims that already partition the window in order (a session
+    skeleton) are those slices and are taken as they are: cutting them
+    again gives the same slices at about three times the cost, once per
+    session of the trace.  Per-phase sums use ``math.fsum`` so the
+    tiling is as exact as the float representation allows.
     """
+    if not _partitions(t0, t1, claims):
+        claims = _elementary_slices(t0, t1, claims)
+    parts: Dict[str, List[float]] = {}
+    for phase, a, b in claims:
+        parts.setdefault(phase, []).append(b - a)
+    return {phase: math.fsum(widths) for phase, widths in parts.items()}
+
+
+def _partitions(t0: float, t1: float, claims: Sequence[_Claim]) -> bool:
+    """Do the claims partition [t0, t1] in order, none of them empty?"""
+    edge = t0
+    for _phase, a, b in claims:
+        if a != edge or b <= a:
+            return False
+        edge = b
+    return edge == t1
+
+
+def _elementary_slices(t0: float, t1: float, claims: Sequence[_Claim]) -> List[_Claim]:
+    """Cut [t0, t1] at every clipped claim boundary; award each slice."""
     clipped = []
     cuts = {t0, t1}
-    for pri, phase, a, b in claims:
+    for phase, a, b in claims:
         a = max(a, t0)
         b = min(b, t1)
         if b > a:
-            clipped.append((pri, phase, a, b))
+            clipped.append((phase, a, b))
             cuts.add(a)
             cuts.add(b)
     bounds = sorted(cuts)
-    parts: Dict[str, List[float]] = {}
+    slices = []
     for a, b in zip(bounds, bounds[1:]):
-        if b <= a:
-            continue
-        best: Optional[Tuple[int, str]] = None
-        for pri, phase, ca, cb in clipped:
-            if ca <= a and cb >= b:
-                if best is None or pri < best[0]:
-                    best = (pri, phase)
-        phase = best[1] if best is not None else "host_execute"
-        parts.setdefault(phase, []).append(b - a)
-    return {phase: math.fsum(widths) for phase, widths in parts.items()}
+        for phase, ca, cb in clipped:
+            if ca <= a < cb:  # every claim boundary is a cut
+                break
+        else:
+            phase = "host_execute"
+        slices.append((phase, a, b))
+    return slices
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ prints the linked image's sections and symbols.  ``disasm`` shows both
 ISAs' text sections side by side — useful for seeing what the dual
 backends emitted.  ``trace`` runs the program and exports the event
 timeline as Chrome ``trace_event`` JSON (load it in ``chrome://tracing``
-or Perfetto); ``--phases`` overlays the measured per-migration phase
-decomposition, ``--detail`` adds per-TLP PCIe events.  ``profile`` runs
-the program and prints the observability summary: the measured
-migration breakdown (per pid with ``--by-pid``), the span census, and
-the statistics the run changed (see docs/OBSERVABILITY.md).  ``metrics``
+or Perfetto); ``--phases`` overlays each migration session's phases
+(docs/OBSERVABILITY.md, "Phase model"), ``--detail`` adds per-TLP PCIe
+events.  ``profile`` runs the program and prints the observability
+summary: the mean phases of the sessions an NxP served (per pid with
+``--by-pid``), the span census, and the statistics the run changed.  ``metrics``
 runs the program and emits the derived metrics — latency histograms,
 per-device utilization, counters — as OpenMetrics/Prometheus text or a
 JSON ``RunReport`` (``--format``, ``--by-pid`` for per-pid series).

@@ -8,6 +8,7 @@ from repro.analysis.breakdown import (
     measure_breakdown_by_pid,
     render_breakdown,
 )
+from repro.analysis.metrics import build_run_report
 from repro.baselines import flick_roundtrip_component_ns
 from repro.core.config import DEFAULT_CONFIG
 
@@ -161,3 +162,55 @@ class TestRender:
             assert phase in text
         assert "TOTAL" in text
         assert "page fault" in text
+
+
+DEGRADING_NESTED = """
+@nxp func inner(x) { return x * 10; }
+func host_mid(x) { return inner(x) + 1; }
+@nxp func dev(x) { return host_mid(x) + 100; }
+func main(n) {
+    var i = 0;
+    var acc = 0;
+    while (i < n) { acc = acc + dev(2); i = i + 1; }
+    return acc;
+}
+"""
+
+
+class TestDegradedNestedCall:
+    """A nested host->NxP call that falls back to host emulation (its
+    only NxP is drained mid-run) ends in ``degraded_done``, never in a
+    completed round trip.  It must stay out of the session means without
+    swallowing the enclosing session, which an NxP still served."""
+
+    @staticmethod
+    def _drained_at(until_ns):
+        machine = FlickMachine()
+        process = machine.load(machine.compile(DEGRADING_NESTED))
+        thread = machine.spawn(process, args=[3])
+        machine.sim.run(until=until_ns)
+        machine.kill_nxp(0, mode="drain")
+        machine.run()
+        return machine, thread
+
+    def test_enclosing_sessions_still_counted(self):
+        machine, thread = self._drained_at(80_000)
+        assert thread.result == 3 * (2 * 10 + 1 + 100)
+        assert len(machine.trace.finished_spans("h2n_session")) == 6
+        assert machine.trace.count("degraded_call") == 3
+        b = measure_breakdown(machine.trace)
+        assert (b.sessions, b.nested_sessions) == (3, 2)
+        assert build_run_report(machine).sessions == 3
+        for phase in ("host_out", "transfer_to_nxp", "nxp_execute", "nested_host",
+                      "return_to_host", "host_resume"):
+            assert b.phases[phase] > 0.0
+
+    def test_first_inner_call_degraded(self):
+        machine, _thread = self._drained_at(30_000)
+        b = measure_breakdown(machine.trace)
+        assert (b.sessions, b.nested_sessions) == (1, 1)
+        assert build_run_report(machine).sessions == 1
+        # The served session is the first dev() call, and its phases
+        # still tile its span exactly around the degraded inner call.
+        first = min(machine.trace.finished_spans("h2n_session"), key=lambda s: s.start)
+        assert b.total_ns == pytest.approx(first.duration, abs=1e-6)

@@ -16,12 +16,19 @@ from repro.analysis.critical_path import (
     DEFAULT_BANDS,
     PHASES,
     RequestPath,
+    _elementary_slices,
+    _tile,
     extract_request_paths,
+    session_skeletons,
     render_why,
     tail_attribution,
     why_doc,
     why_report,
 )
+from repro import FlickMachine
+from repro.analysis import serving
+from repro.analysis.breakdown import measure_breakdown
+from repro.analysis.chaos import named_scenarios, run_scenario
 from repro.analysis.serving import (
     RequestRecord,
     TrafficConfig,
@@ -295,3 +302,117 @@ class TestUnknownTraces:
         assert path.trace_id == "req-unknown-9999"
         assert_tiles(path)
         assert path.phases == {"host_execute": 5000.0}
+
+
+def _record_machines(monkeypatch):
+    """The machines ``run_serving`` builds from now on, in build order."""
+    machines = []
+
+    class Recording(serving.FlickMachine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            machines.append(self)
+
+    monkeypatch.setattr(serving, "FlickMachine", Recording)
+    return machines
+
+
+class TestGroupingsReconcile:
+    """The request and session groupings read one phase model, so over a
+    whole traced run they account for the same time: NxP residency, and
+    everything a request spends inside migration sessions (all of its
+    latency but host execution and queueing)."""
+
+    @pytest.mark.parametrize(
+        "tc",
+        [
+            replace(QUICK_TRACED, scenario="null_call", requests=60),
+            replace(QUICK_TRACED, qps=20_000.0, requests=120, clients=8,
+                    nxps=2, policy="round_robin"),
+            replace(QUICK_TRACED, scenario="mixed", requests=40),
+        ],
+        ids=["null_call", "two_nxps", "mixed"],
+    )
+    def test_request_sums_match_session_means(self, tc, monkeypatch):
+        machines = _record_machines(monkeypatch)
+        r = run_serving(tc)
+        (machine,) = machines
+        b = measure_breakdown(machine.trace)
+        assert b.sessions > 0
+        nxp = math.fsum(p.phases.get("nxp_execute", 0.0) for p in r.paths)
+        assert nxp == pytest.approx(b.sessions * b.phases["nxp_execute"], rel=1e-9)
+        in_sessions = math.fsum(
+            p.latency_ns - p.phases.get("host_execute", 0.0) - p.phases.get("queue_wait", 0.0)
+            for p in r.paths
+        )
+        assert in_sessions == pytest.approx(b.sessions * b.total_ns, rel=1e-9)
+
+
+class TestSkeletonTiling:
+    NESTED = """
+    @nxp func inner(x) { return x * 10; }
+    func host_mid(x) { return inner(x) + 1; }
+    @nxp func dev(x) { return host_mid(x) + 100; }
+    func main(n) {
+        var i = 0;
+        var acc = 0;
+        while (i < n) { acc = acc + dev(i); i = i + 1; }
+        return acc;
+    }
+    """
+
+    def test_partition_path_matches_elementary_slices(self):
+        """A skeleton already partitions its session, so _tile takes its
+        claims as the slices; cutting and awarding them the general way
+        gives the same per-phase sums, bit for bit."""
+        machine = FlickMachine()
+        machine.run_program(self.NESTED, args=[3])
+        skeletons = session_skeletons(machine.trace.finished_spans(), machine.trace.events)
+        assert len(skeletons) == 6
+        for session, _legs, skeleton in skeletons:
+            general: dict = {}
+            for phase, a, b in _elementary_slices(session.start, session.end, skeleton):
+                general.setdefault(phase, []).append(b - a)
+            tiled = _tile(session.start, session.end, skeleton)
+            assert tiled == {phase: math.fsum(w) for phase, w in general.items()}
+            assert math.fsum(tiled.values()) == pytest.approx(session.duration, abs=1e-6)
+
+
+class TestLegBeforeFallback:
+    """Under the overload storm a reply can be delayed past the watchdog
+    after its leg ran, and the retry budget then denies the retransmit,
+    so the session ends in host fallback.  It has no skeleton and stays
+    out of the session means, but its leg is still NxP residency on the
+    request's path."""
+
+    def test_leg_still_claims_nxp_execute(self, monkeypatch):
+        machines = _record_machines(monkeypatch)
+        storm = named_scenarios(0)["overload-storm"]
+        result = run_scenario(replace(storm, traffic=replace(storm.traffic, traced=True)))
+        assert result.verdict == "shed"
+        (machine,) = machines
+        spans: dict = {}
+        for s in machine.trace.finished_spans():
+            spans.setdefault(s.attrs.get("trace_id"), []).append(s)
+        events: dict = {}
+        for e in machine.trace.events:
+            events.setdefault(e.attrs.get("trace_id"), []).append(e)
+        fell_back_after_leg = []
+        for path in result.serving.paths:
+            assert_tiles(path)
+            mine = spans.get(path.trace_id, [])
+            legs = math.fsum(s.duration for s in mine if s.name == "nxp_resident")
+            assert path.phases.get("nxp_execute", 0.0) == pytest.approx(legs, rel=1e-9)
+            cuts = session_skeletons(mine, events.get(path.trace_id, []))
+            if any(own and not skeleton for _s, own, skeleton in cuts):
+                fell_back_after_leg.append(path)
+        first = fell_back_after_leg[0]
+        assert (first.index, first.fallback, first.retries) == (35, True, 1)
+        assert first.phases == pytest.approx({
+            "host_execute": 2872.6388888957445,
+            "protocol_host": 6750.0,
+            "dma_n2h": 730.6451612904202,
+            "nxp_execute": 11025.967741935281,
+            "retry_backoff": 108974.03225806472,
+            "fallback": 18405.56989246863,
+        }, rel=1e-9)

@@ -10,6 +10,7 @@ evidence that the hosted sweeps measure the same machine.
 import pytest
 
 from repro import FlickMachine
+from repro.analysis.critical_path import session_skeletons
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.hosted import HostedMachine, HostedProgram
 from repro.sim.faults import builtin_plans
@@ -184,6 +185,26 @@ def _protocol_view(machine, retval):
     return retval, names, stats
 
 
+def _session_phases(trace):
+    """Per NxP-served session, from its skeleton: whether it is nested,
+    its one-interval protocol phases, and whether a watchdog tripped in
+    its return leg (last leg end -> return ``irq``)."""
+    trips = [e.time for e in trace.events if e.name == "watchdog_trip"]
+    out = []
+    for _session, _legs, skeleton in session_skeletons(trace.finished_spans(), trace.events):
+        if not skeleton:
+            continue
+        cuts = {phase: (a, b) for phase, a, b in skeleton}
+        leg_end, irq = cuts["return_to_host"]
+        out.append({
+            "nested": "nested_host" in cuts,
+            "tripped": any(leg_end <= t <= irq for t in trips),
+            **{phase: b - a for phase, (a, b) in cuts.items()
+               if phase not in ("nxp_execute", "nested_host")},
+        })
+    return out
+
+
 class TestProtocolDifferential:
     """Both executors drive the one protocol: under every bounded chaos
     plan they emit the same protocol events in the same order and count
@@ -200,3 +221,33 @@ class TestProtocolDifferential:
         assert _protocol_view(machine, interpreted.retval) == _protocol_view(
             hosted.machine, out.retval
         )
+
+    @pytest.mark.parametrize(
+        "plan", [None] + DIFFERENTIAL_PLANS, ids=lambda p: p.name if p else "clean"
+    )
+    def test_engines_agree_per_session_phases(self, plan):
+        """The session skeletons of both executors agree phase by phase
+        on the protocol's own cost.  ``nxp_execute`` and ``nested_host``
+        are not compared: hosted callee bodies are timing models (on the
+        ``x * 10`` callee ``nxp_execute`` differs by up to 81%).  A return
+        leg holding a watchdog trip is not compared either: the watchdog
+        is armed at the call kick, so when it fires depends on the NxP
+        execute time."""
+        cfg = DEFAULT_CONFIG
+        if plan is not None:
+            cfg = plan.apply(cfg).with_overrides(migration_watchdog_ns=200_000.0)
+        machine = FlickMachine(cfg)
+        machine.run_program(NESTED_SRC, args=[NESTED_CALLS])
+        hosted = HostedMachine(_nested_hosted_program(), cfg=cfg)
+        hosted.run("main", [NESTED_CALLS])
+        interpreted = _session_phases(machine.trace)
+        modelled = _session_phases(hosted.machine.trace)
+        assert len(interpreted) == len(modelled)
+        if plan is None:
+            assert len(interpreted) == 2 * NESTED_CALLS
+        for a, b in zip(interpreted, modelled):
+            assert (a["nested"], a["tripped"]) == (b["nested"], b["tripped"])
+            for phase in ("host_out", "transfer_to_nxp", "host_resume"):
+                assert a[phase] == pytest.approx(b[phase], rel=1e-9)
+            if not a["tripped"]:
+                assert a["return_to_host"] == pytest.approx(b["return_to_host"], rel=1e-9)

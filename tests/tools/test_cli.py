@@ -113,6 +113,33 @@ class TestTrace:
         phase_names = {e["name"] for e in doc["traceEvents"] if e.get("cat") == "phase"}
         assert {"host_out", "transfer_to_nxp", "nxp_execute"} <= phase_names
 
+    def test_trace_phases_pinned(self, demo_file, tmp_path):
+        """The demo's two sessions, cut into their skeleton phases (us),
+        on the track of the program's one thread (pids are allocated
+        per interpreter process, so the pin reads it from the trace)."""
+        import json
+
+        dst = tmp_path / "demo.trace.json"
+        run_cli(["trace", demo_file, "--args", "3", "--out", str(dst), "--phases"])
+        doc = json.loads(dst.read_text())
+        (pid,) = {e["pid"] for e in doc["traceEvents"] if e["name"] == "thread"}
+        phases = [
+            (e["name"], e["ts"], e["dur"], e["pid"])
+            for e in doc["traceEvents"] if e.get("cat") == "phase"
+        ]
+        assert phases == [
+            ("host_out", 1.3796666666666666, 6.75, pid),
+            ("transfer_to_nxp", 8.129666666666665, 2.580645161290322, pid),
+            ("nxp_execute", 10.710311827956987, 11.035967741935487, pid),
+            ("return_to_host", 21.746279569892476, 3.630645161290322, pid),
+            ("host_resume", 25.376924731182797, 4.75, pid),
+            ("host_out", 31.499702508960585, 4.150000000000004, pid),
+            ("transfer_to_nxp", 35.64970250896059, 2.5806451612903256, pid),
+            ("nxp_execute", 38.230347670250914, 1.99, pid),
+            ("return_to_host", 40.220347670250916, 3.6306451612903254, pid),
+            ("host_resume", 43.85099283154124, 4.75, pid),
+        ]
+
     def test_trace_truncation_warns_and_fails(self, demo_file, tmp_path):
         dst = tmp_path / "demo.trace.json"
         code, out = run_cli(
@@ -129,6 +156,24 @@ class TestProfile:
         assert "Measured migration breakdown" in out
         assert "h2n_session" in out  # span census
         assert "dma.to_nxp" in out  # stats dump
+
+    def test_profile_breakdown_pinned(self, demo_file):
+        _code, out = run_cli(["profile", demo_file, "--args", "3"])
+        lines = out.splitlines()
+        start = lines.index("Measured migration breakdown (2 sessions)")
+        assert [line.rstrip() for line in lines[start:start + 11]] == [
+            "Measured migration breakdown (2 sessions)",
+            "Phase                     | Mean latency",
+            "--------------------------+-------------",
+            "page fault entry (config) | 0.70us",
+            "host_out                  | 5.45us",
+            "transfer_to_nxp           | 2.58us",
+            "nxp_execute               | 6.51us",
+            "nested_host               | 0.00us",
+            "return_to_host            | 3.63us",
+            "host_resume               | 4.75us",
+            "TOTAL (measured + fault)  | 23.62us",
+        ]
 
     def test_profile_by_pid(self, demo_file):
         code, out = run_cli(["profile", demo_file, "--args", "3", "--by-pid"])
