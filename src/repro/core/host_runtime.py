@@ -458,7 +458,7 @@ class HostThread(HostMigrationHandler):
                 yield from service_stub(self.machine, self.task, cpu)
                 continue
             try:
-                yield from step()
+                yield from step(stub_pcs)
             except PageFault as fault:
                 if fault.kind == PageFault.NX_VIOLATION and fault.is_exec:
                     self.kernel.classify_exec_fault(self.task, fault, running_on="hisa")
@@ -566,7 +566,7 @@ class HostThread(HostMigrationHandler):
                 yield from service_stub(machine, task, fcpu)
                 continue
             try:
-                yield from fcpu.step()
+                yield from fcpu.step(stub_pcs)
             except ReturnToRuntime as ret:
                 task.nxp_sp = fcpu.sp
                 return ret.retval

@@ -329,7 +329,7 @@ class NxpPlatform(NxpMigrationHandler):
                 yield from service_stub(self.machine, task, cpu)
                 continue
             try:
-                yield from step()
+                yield from step(stub_pcs)
             except ReturnToRuntime as ret:
                 yield from self._return_migration(task, ret.retval)
                 return

@@ -136,7 +136,10 @@ class HostMemoryPort:
         self._c_store = self.stats.counter("host.store")
         self._c_store_pcie = self.stats.counter("host.store_pcie")
         # Timeout objects are immutable; reusing one per fixed latency
-        # avoids an allocation on every access.
+        # avoids an allocation on every access.  Each fixed latency is
+        # first offered to advance, which ends it in place when nothing
+        # else is due first (see Simulator.advance_to).
+        self._advance = sim.advance
         self._pause_cached_mem = sim.timeout(cfg.host_cached_mem_ns)
 
     @property
@@ -174,7 +177,8 @@ class HostMemoryPort:
         paddr = vaddr + delta
         self._c_load.value += 1
         if self.mm.host_dram_contains(paddr):
-            yield self._pause_cached_mem
+            if not self._advance(self._pause_cached_mem.delay):
+                yield self._pause_cached_mem
             return self.phys.read(paddr, nbytes)
         # BAR access: a real non-posted PCIe read.
         self._c_load_pcie.value += 1
@@ -192,7 +196,8 @@ class HostMemoryPort:
         self._c_store.value += 1
         self.tables.note_code_store(vaddr, len(data))
         if self.mm.host_dram_contains(paddr):
-            yield self._pause_cached_mem
+            if not self._advance(self._pause_cached_mem.delay):
+                yield self._pause_cached_mem
             self.phys.write(paddr, data)
             return
         self._c_store_pcie.value += 1
@@ -257,7 +262,9 @@ class NxpMemoryPort:
         )
         self.cacheable = CacheableFilter()
         # Reusable Timeouts for the fixed latencies on the hot path
-        # (immutable, so sharing one object per latency is safe).
+        # (immutable, so sharing one object per latency is safe), each
+        # first offered to advance, as on the host port.
+        self._advance = sim.advance
         self._pause_tlb_hit = sim.timeout(cfg.tlb_hit_ns)
         self._pause_icache_hit = sim.timeout(cfg.nxp_icache_hit_ns)
         self._pause_bram = sim.timeout(cfg.nxp_bram_ns)
@@ -274,7 +281,7 @@ class NxpMemoryPort:
         if entry is None:
             tr = yield from self.walker.walk(vaddr)  # raises PageFault if unmapped
             entry = tlb.insert(tr)
-        else:
+        elif not self._advance(self._pause_tlb_hit.delay):
             yield self._pause_tlb_hit
         if is_exec and not entry.nx:
             # Inverted NX sense: host-ISA pages fault on the NxP.
@@ -302,7 +309,8 @@ class NxpMemoryPort:
         paddr = entry.paddr_for(vaddr)
         self._c_fetch.value += 1
         if self.icache.access(paddr):
-            yield self._pause_icache_hit
+            if not self._advance(self._pause_icache_hit.delay):
+                yield self._pause_icache_hit
             return self.phys.read(paddr, nbytes)
         # I-cache miss: line fill from wherever the code lives (host DRAM
         # for both ISAs' text, per the placement policy).
@@ -319,7 +327,8 @@ class NxpMemoryPort:
         paddr = entry.paddr_for(vaddr)
         self._c_fetch.value += 1
         if self.icache.access(paddr):
-            yield self._pause_icache_hit
+            if not self._advance(self._pause_icache_hit.delay):
+                yield self._pause_icache_hit
             return
         line = self.cfg.nxp_icache_line_bytes
         line_base = paddr & ~(line - 1)
@@ -329,7 +338,7 @@ class NxpMemoryPort:
         """:meth:`fetch_check` minus the generator overhead for the
         ITLB-hit + I-cache-hit case: all bookkeeping happens here,
         synchronously, and the caller receives the ``(tlb, icache)``
-        pause pair to yield — one event each, the exact delays
+        pause pair to charge — one event each, the exact delays
         :meth:`fetch_check` would charge.  Any other case returns a
         generator that finishes the check (the probes already done are
         not repeated, so counters stay single-counted).
@@ -362,20 +371,23 @@ class NxpMemoryPort:
         paddr = entry.paddr_for(vaddr)
         self._c_fetch.value += 1
         if self.icache.access(paddr):
-            yield self._pause_icache_hit
+            if not self._advance(self._pause_icache_hit.delay):
+                yield self._pause_icache_hit
             return
         line = self.cfg.nxp_icache_line_bytes
         line_base = paddr & ~(line - 1)
         yield from self.link.read(line_base, line, service_ns=self.cfg.host_dram_ns)
 
     def _fetch_check_nx_fault(self, vaddr: int) -> Generator:
-        yield self._pause_tlb_hit
+        if not self._advance(self._pause_tlb_hit.delay):
+            yield self._pause_tlb_hit
         raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
 
     def _fetch_check_fill(self, paddr: int) -> Generator:
         # ITLB hit, I-cache miss (both already recorded): charge the
         # TLB-hit latency, then the line fill.
-        yield self._pause_tlb_hit
+        if not self._advance(self._pause_tlb_hit.delay):
+            yield self._pause_tlb_hit
         line = self.cfg.nxp_icache_line_bytes
         line_base = paddr & ~(line - 1)
         yield from self.link.read(line_base, line, service_ns=self.cfg.host_dram_ns)
@@ -386,15 +398,18 @@ class NxpMemoryPort:
         route, local_paddr = self.dtlb.route(paddr)
         self._c_load.value += 1
         if self.mm.bram_contains(paddr):
-            yield self._pause_bram
+            if not self._advance(self._pause_bram.delay):
+                yield self._pause_bram
             return self.phys.read(paddr, nbytes)
         if route == "local":
             # Cacheable windows are registered in host-view (BAR)
             # addresses, the canonical physical space of this model.
             if self.cacheable.cacheable(paddr) and self.dcache.access(paddr):
-                yield self._pause_icache_hit
+                pause = self._pause_icache_hit
             else:
-                yield self._pause_local_read
+                pause = self._pause_local_read
+            if not self._advance(pause.delay):
+                yield pause
             self._c_load_local.value += 1
             return self.phys.read(paddr, nbytes)
         # Cross-PCIe read of host memory.
@@ -414,13 +429,15 @@ class NxpMemoryPort:
             if tables is not None:
                 tables.note_code_store(vaddr, len(data))
         if self.mm.bram_contains(paddr):
-            yield self._pause_bram
+            if not self._advance(self._pause_bram.delay):
+                yield self._pause_bram
             self.phys.write(paddr, data)
             return
         if route == "local":
             if self.cacheable.cacheable(paddr):
                 self.dcache.invalidate_range(paddr, len(data))
-            yield self._pause_local_write
+            if not self._advance(self._pause_local_write.delay):
+                yield self._pause_local_write
             self.phys.write(paddr, data)
             return
         self._c_store_pcie.value += 1

@@ -2,9 +2,11 @@
 
 One :class:`Interpreter` instance animates one hardware core.  It is a
 DES citizen: :meth:`step` is a generator that charges simulated time for
-the instruction itself while the :class:`MemoryPort` charges for fetch,
+each instruction itself while the :class:`MemoryPort` charges for fetch,
 load and store traffic (so a host core and an NxP core differ in both
-clock speed *and* memory path).
+clock speed *and* memory path).  It runs one instruction, or straight
+through to the next runtime stub, suspending only when another event is
+due before a pause ends.
 
 Control leaves the interpreter through exceptions:
 
@@ -21,7 +23,7 @@ Control leaves the interpreter through exceptions:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Protocol
+from typing import AbstractSet, Dict, Generator, Optional, Protocol
 
 from repro.isa import hisa, nisa
 from repro.isa.base import (
@@ -289,115 +291,141 @@ class Interpreter:
 
     # -- execution ---------------------------------------------------------------
 
-    def step(self) -> Generator:
-        """Fetch, decode and execute one instruction.
+    def step(self, stop_pcs: Optional[AbstractSet[int]] = None) -> Generator:
+        """Fetch, decode and execute instructions: one, or with
+        ``stop_pcs`` until the pc is one of them (control also leaves
+        through the exceptions in the module docstring).  This is the
+        one fetch/decode/execute loop every core runs.
 
         With the decode cache enabled (and a port exposing the
         fetch_check/code_generation contract), a PC seen before at the
         current code generation skips re-decode: ``fetch_check`` replays
         the exact fetch timing, faults and stats, so simulated results
         are bit-identical to the uncached path.
-        """
-        pc = self.pc
-        if pc == RUNTIME_RETURN_ADDR:
-            raise ReturnToRuntime(self.retval)
 
+        Each pause is first offered to :meth:`Simulator.advance`, which
+        ends it in place when nothing else is due first; the loop yields
+        only when another event must run before the pause ends.  So a
+        run of straight-line code costs one generator resume, not one
+        per pause.
+        """
         port = self.port
         jit = self._jit
-        if jit is not None:
-            blk = jit._blocks.get(pc)
-            if blk is not None:
-                if blk.gen == port.code_generation:
-                    ran = self._inst_counter.value
-                    yield from jit.execute(blk)
-                    if self._inst_counter.value != ran:
-                        return
-                    # The block bailed before its first instruction (an
-                    # NxP I-TLB probe miss), having done nothing: this
-                    # step interprets that instruction, which fills the
-                    # TLB, so the next entry can run compiled.
+        advance = self.sim.advance
+        counter = self._inst_counter
+        fetch_check_sync = self._fetch_check_sync
+        fetch_check_fast = self._fetch_check_fast
+        while True:
+            pc = self.pc
+            if pc == RUNTIME_RETURN_ADDR:
+                raise ReturnToRuntime(self.retval)
+
+            if jit is not None:
+                blk = jit._blocks.get(pc)
+                if blk is not None:
+                    if blk.gen == port.code_generation:
+                        ran = counter.value
+                        yield from jit.execute(blk)
+                        if counter.value != ran:
+                            if stop_pcs is None or self.pc in stop_pcs:
+                                return
+                            continue
+                        # The block bailed before its first instruction
+                        # (an NxP I-TLB probe miss), having done nothing:
+                        # interpret that instruction, which fills the
+                        # TLB, so the next entry can run compiled.
+                    else:
+                        jit.invalidate("codegen")
+
+            gen = None
+            cached = None
+            # Local: the NxP swaps caches between residencies, and an
+            # entry must land in the cache whose generation was checked.
+            decoded = self._decode
+            if decoded is not None:
+                gen = port.code_generation
+                if gen is not None:
+                    if gen != decoded.gen:
+                        decoded.clear()
+                        decoded.gen = gen
+                    cached = decoded.get(pc)
+
+            if cached is not None:
+                inst, length, two_part, pause, is_mem = cached
+                if fetch_check_sync is not None and fetch_check_sync(
+                    pc, 1 if two_part else length
+                ):
+                    # Fully checked with no simulated time due: skip the
+                    # generator machinery (a False return did nothing,
+                    # so the fallback below replays the check from
+                    # scratch).
+                    if two_part:
+                        fetch_check_sync(pc + 1, length - 1)
+                elif two_part:
+                    yield from port.fetch_check(pc, 1)
+                    yield from port.fetch_check(pc + 1, length - 1)
+                elif fetch_check_fast is not None:
+                    # The port resolved the common hit/hit case without
+                    # a generator and handed back the pauses to charge.
+                    r = fetch_check_fast(pc, length)
+                    if type(r) is tuple:
+                        tlb_hit, icache_hit = r
+                        if not advance(tlb_hit.delay):
+                            yield tlb_hit
+                        if not advance(icache_hit.delay):
+                            yield icache_hit
+                    else:
+                        yield from r
                 else:
-                    jit.invalidate("codegen")
-
-        gen = None
-        cached = None
-        # Local: the NxP swaps caches between residencies, and an entry
-        # must land in the cache whose generation was checked.
-        decoded = self._decode
-        if decoded is not None:
-            gen = port.code_generation
-            if gen is not None:
-                if gen != decoded.gen:
-                    decoded.clear()
-                    decoded.gen = gen
-                cached = decoded.get(pc)
-
-        if cached is not None:
-            inst, length, two_part, pause, is_mem = cached
-            sync = self._fetch_check_sync
-            if sync is not None and sync(pc, 1 if two_part else length):
-                # Fully checked with no simulated time due: skip the
-                # generator machinery (a False return did nothing, so the
-                # fallback below replays the check from scratch).
-                if two_part:
-                    sync(pc + 1, length - 1)
-            elif two_part:
-                yield from port.fetch_check(pc, 1)
-                yield from port.fetch_check(pc + 1, length - 1)
-            elif self._fetch_check_fast is not None:
-                # The port resolved the common hit/hit case without a
-                # generator and handed back the pauses to charge.
-                r = self._fetch_check_fast(pc, length)
-                if type(r) is tuple:
-                    yield r[0]
-                    yield r[1]
-                else:
-                    yield from r
+                    yield from port.fetch_check(pc, length)
             else:
-                yield from port.fetch_check(pc, length)
-        else:
-            if self.isa == "nisa":
-                raw = yield from port.fetch(pc, nisa.INST_BYTES)
-                inst, length = nisa.decode(raw, pc)
-                two_part = False
-            else:
-                head = yield from port.fetch(pc, 1)
-                length = hisa._LEN_BY_OPCODE.get(head[0])
-                if length is None:
-                    from repro.isa.base import IllegalInstruction
-
-                    raise IllegalInstruction(pc, head[0])
-                if length == 1:
-                    raw = head
+                if self.isa == "nisa":
+                    raw = yield from port.fetch(pc, nisa.INST_BYTES)
+                    inst, length = nisa.decode(raw, pc)
                     two_part = False
                 else:
-                    # Trailing bytes are instruction bytes: route them
-                    # through the fetch path (not the data-load path) so
-                    # fetch/load stats and NX semantics stay truthful.
-                    raw = head + (yield from port.fetch(pc + 1, length - 1))
-                    two_part = True
-                inst, length = hisa.decode(raw, pc)
-            pause = self.sim.timeout(self.cost.cost_ns(inst.op))
-            is_mem = inst.op in self._gen_ops
-            # Insert only if no store/remap invalidated the code while
-            # the fetch was suspended mid-flight.
-            if gen is not None and port.code_generation == gen:
-                decoded[pc] = (inst, length, two_part, pause, is_mem)
+                    head = yield from port.fetch(pc, 1)
+                    length = hisa._LEN_BY_OPCODE.get(head[0])
+                    if length is None:
+                        from repro.isa.base import IllegalInstruction
 
-        self._inst_counter.value += 1
-        yield pause
-        # Most instructions touch no memory: execute them with a plain
-        # call instead of spinning up an _execute generator; the class
-        # is resolved once at decode, not per execution.
-        if is_mem:
-            yield from self._execute(inst, pc, length)
-        elif not self._execute_sync(inst, pc, length):
-            yield from self._execute(inst, pc, length)  # pragma: no cover
-        # Backward control transfer: the hot-loop signal the JIT tier
-        # keys compilation on (compilation itself is pure — no simulated
-        # time, no stats — so noting it here cannot perturb parity).
-        if jit is not None and self.pc < pc:
-            jit.note_backedge(self.pc)
+                        raise IllegalInstruction(pc, head[0])
+                    if length == 1:
+                        raw = head
+                        two_part = False
+                    else:
+                        # Trailing bytes are instruction bytes: route
+                        # them through the fetch path (not the data-load
+                        # path) so fetch/load stats and NX semantics
+                        # stay truthful.
+                        raw = head + (yield from port.fetch(pc + 1, length - 1))
+                        two_part = True
+                    inst, length = hisa.decode(raw, pc)
+                pause = self.sim.timeout(self.cost.cost_ns(inst.op))
+                is_mem = inst.op in self._gen_ops
+                # Insert only if no store/remap invalidated the code
+                # while the fetch was suspended mid-flight.
+                if gen is not None and port.code_generation == gen:
+                    decoded[pc] = (inst, length, two_part, pause, is_mem)
+
+            counter.value += 1
+            if not advance(pause.delay):
+                yield pause
+            # Most instructions touch no memory: execute them with a
+            # plain call instead of spinning up an _execute generator;
+            # the class is resolved once at decode, not per execution.
+            if is_mem:
+                yield from self._execute(inst, pc, length)
+            elif not self._execute_sync(inst, pc, length):
+                yield from self._execute(inst, pc, length)  # pragma: no cover
+            # Backward control transfer: the hot-loop signal the JIT tier
+            # keys compilation on (compilation itself is pure — no
+            # simulated time, no stats — so noting it here cannot perturb
+            # parity).
+            if jit is not None and self.pc < pc:
+                jit.note_backedge(self.pc)
+            if stop_pcs is None or self.pc in stop_pcs:
+                return
 
     def run(self, max_steps: int = 10_000_000) -> Generator:
         """Step until an exception transfers control out."""

@@ -27,8 +27,10 @@ This module adds a third execution tier above the decode cache:
 3. **Execution** — one executor for both cores replays the
    interpreter's *exact* sequence of timed pauses arithmetically on a
    local accumulator (bit-identical float adds, in order), flushing
-   with one exact ``sleep_until`` per loop iteration / region exit and
-   crediting the collapsed pauses to :meth:`Simulator.credit_events`.
+   once per loop iteration / region exit and crediting the collapsed
+   pauses to :meth:`Simulator.credit_events`.  A flush ends in place
+   through :meth:`Simulator.advance_to` when nothing else is due first,
+   and yields one exact ``sleep_until`` otherwise.
    Only the I-fetch differs per core (see :meth:`JitEngine.execute`).
    Stat counters are bumped through the same Counter objects the slow
    path uses.  Anything unexpected — page fault, write-protect,
@@ -585,6 +587,7 @@ class JitEngine:
         c_block_inst = self._c_inst
         c_block_ns = self._c_sim_ns
         sleep_until = sim.sleep_until
+        advance_to = sim.advance_to
         ops = block.ops
         nops = len(ops)
         gen = block.gen
@@ -615,7 +618,8 @@ class JitEngine:
                     self._note_bail("itlb")
                     if pauses:
                         sim.credit_events(pauses - 1)
-                        yield sleep_until(t)
+                        if not advance_to(t):
+                            yield sleep_until(t)
                     return
                 fetched = itlb.lookup(pc_i)  # counted hit + LRU, as fetch would
                 paddr = fetched.paddr_for(pc_i)
@@ -633,7 +637,8 @@ class JitEngine:
                     n = 0
                     if pauses:
                         sim.credit_events(pauses - 1)
-                        yield sleep_until(t)
+                        if not advance_to(t):
+                            yield sleep_until(t)
                         pauses = 0
                     yield from port._fetch_check_fill(paddr)
                     t0 = t = sim.now
@@ -652,7 +657,8 @@ class JitEngine:
                         c_block_ns.value += t - t0
                         self._note_bail("fault")
                         sim.credit_events(pauses - 1)
-                        yield sleep_until(t)
+                        if not advance_to(t):
+                            yield sleep_until(t)
                         raise
                 i += 1
             elif kind == K_GUARD:
@@ -666,7 +672,8 @@ class JitEngine:
                         c_block_ns.value += t - t0
                         n = 0
                         sim.credit_events(pauses - 1)
-                        yield sleep_until(t)
+                        if not advance_to(t):
+                            yield sleep_until(t)
                         pauses = 0
                         t0 = t = sim.now
                         if port.code_generation != gen:
@@ -714,7 +721,8 @@ class JitEngine:
                 c_block_ns.value += t - t0
                 n = 0
                 sim.credit_events(pauses - 1)
-                yield sleep_until(t)
+                if not advance_to(t):
+                    yield sleep_until(t)
                 pauses = 0
                 data = yield from port.load(addr, size)
                 rwrite(op[5], int.from_bytes(data, "little"))
@@ -759,7 +767,8 @@ class JitEngine:
                 c_block_ns.value += t - t0
                 n = 0
                 sim.credit_events(pauses - 1)
-                yield sleep_until(t)
+                if not advance_to(t):
+                    yield sleep_until(t)
                 pauses = 0
                 yield from port.store(addr, op[5]().to_bytes(size, "little"))
                 t0 = t = sim.now
@@ -790,7 +799,8 @@ class JitEngine:
                     c_block_ns.value += t - t0
                     n = 0
                     sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
+                    if not advance_to(t):
+                        yield sleep_until(t)
                     pauses = 0
                     try:
                         data = yield from port.load(addr, size)
@@ -826,7 +836,8 @@ class JitEngine:
                     c_block_ns.value += t - t0
                     n = 0
                     sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
+                    if not advance_to(t):
+                        yield sleep_until(t)
                     pauses = 0
                     try:
                         yield from port.store(addr, op[5]().to_bytes(size, "little"))
@@ -853,7 +864,8 @@ class JitEngine:
                 n = 0
                 if pauses:
                     sim.credit_events(pauses - 1)
-                    yield sleep_until(t)
+                    if not advance_to(t):
+                        yield sleep_until(t)
                     pauses = 0
                 t0 = t = sim.now
                 if port.code_generation != gen:
@@ -867,7 +879,8 @@ class JitEngine:
         c_block_ns.value += t - t0
         if pauses:
             sim.credit_events(pauses - 1)
-            yield sleep_until(t)
+            if not advance_to(t):
+                yield sleep_until(t)
 
 
 class _Unsupported:

@@ -16,6 +16,16 @@ plain Python generators that ``yield`` one of:
 * another :class:`Process` — suspend until that process finishes; the
   ``yield`` expression evaluates to its return value.
 
+Code that would yield a pause and then carry on can instead call
+:meth:`Simulator.advance` (or :meth:`Simulator.advance_to` for an
+absolute instant): when no other event is due before the pause ends, it
+moves the clock and returns True without leaving the generator;
+otherwise it returns False and the caller yields the pause as usual.
+The engine ends yielded pauses the same way (see :class:`Simulator`).
+``events_processed`` counts one event per pause either way;
+:attr:`Simulator.events_dispatched` is the part that went through the
+event queue.
+
 Example
 -------
 >>> sim = Simulator()
@@ -39,6 +49,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+
+_INF = float("inf")
 
 __all__ = [
     "Simulator",
@@ -184,22 +196,31 @@ class Process:
     def _resume(self, send_value: Any = None) -> None:
         if not self.alive:
             return
+        send = self.gen.send
+        sim = self.sim
         try:
-            target = self.gen.send(send_value)
+            target = send(send_value)
+            # Exact-lookahead run-ahead: a pause that ends before anything
+            # else is due would make this process the next one the heap
+            # dispatches, so resume it here (Simulator.advance_to).
+            while True:
+                if type(target) is Timeout:  # the dominant yield; no subclasses
+                    if not sim.advance_to(sim.now + target.delay):
+                        self._sched(target.delay, self._resume_cb, None)
+                        return
+                elif type(target) is SleepUntil:
+                    if not sim.advance_to(target.at):
+                        sim._schedule_at(target.at, self._resume_cb, None)
+                        return
+                else:
+                    self._wait_on(target)
+                    return
+                target = send(None)
         except StopIteration as stop:
             self._finish(stop.value)
-            return
-        if type(target) is Timeout:  # the dominant yield; no subclasses
-            self._sched(target.delay, self._resume_cb, None)
-        else:
-            self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
-        if isinstance(target, Timeout):
-            self._sched(target.delay, self._resume_cb, None)
-        elif isinstance(target, SleepUntil):
-            self.sim._schedule_at(target.at, self._resume_cb, None)
-        elif isinstance(target, Event):
+        if isinstance(target, Event):
             target._add_waiter(self)
         elif isinstance(target, Process):
             if target.alive:
@@ -272,18 +293,30 @@ class Channel:
 class Simulator:
     """The event loop and simulated clock (nanosecond granularity).
 
-    ``fast_now_queue`` enables a wall-clock fast path for zero-delay
-    wakeups (the dominant event class in the Flick protocol: event
-    triggers, process completions, channel hand-offs).  Instead of
-    churning the heap, they go to a plain FIFO drained only when the
-    heap holds nothing at the current instant.  This preserves the
-    global (time, schedule-order) firing sequence exactly: every heap
-    entry stamped at the current time was necessarily scheduled before
-    any entry now sitting in the FIFO (zero-delay schedules always
-    divert to the FIFO, and positive delays land strictly in the
-    future), so draining same-time heap entries first reproduces the
-    heapq order.  Simulated results are bit-identical either way —
-    the parity tests in tests/core/test_fastpath_parity.py enforce it.
+    ``fast_now_queue`` enables the engine's two wall-clock fast paths;
+    with it off, every wakeup goes through the heap, which makes that
+    configuration the reference oracle for both.
+
+    *Zero-delay now-queue.*  Zero-delay wakeups (the dominant event class
+    in the Flick protocol: event triggers, process completions, channel
+    hand-offs) go to a plain FIFO drained only when the heap holds
+    nothing at the current instant, instead of churning the heap.  This
+    preserves the global (time, schedule-order) firing sequence exactly:
+    every heap entry stamped at the current time was necessarily
+    scheduled before any entry now sitting in the FIFO (zero-delay and
+    due-now absolute schedules always divert to the FIFO, and positive
+    delays land strictly in the future), so draining same-time heap
+    entries first reproduces the heapq order.
+
+    *Exact-lookahead run-ahead.*  A pause whose wakeup would be the next
+    event the loop dispatches ends in place (:meth:`advance_to` holds the
+    test): a process yielding such a ``Timeout`` or ``SleepUntil`` is
+    resumed inline, and hot code calls :meth:`advance` instead of
+    yielding.  ``now`` takes the same value and ``events_processed``
+    counts the same event either way.
+
+    Simulated results are bit-identical either way — the parity tests in
+    tests/core/test_fastpath_parity.py enforce it.
     """
 
     def __init__(self, fast_now_queue: bool = True) -> None:
@@ -294,31 +327,72 @@ class Simulator:
         self._seq = 0
         self._live_processes = 0
         self._error: Optional[BaseException] = None
-        # Dispatched-callback count plus the JIT tier's event credit
-        # (see events_processed / credit_events).
+        # The latest instant advance_to may reach: until (or +inf)
+        # inside a fast run(), -inf otherwise, so it refuses.
+        self._horizon = -_INF
+        # Loop-dispatched callbacks, run-ahead resumes, and the JIT
+        # tier's credit (see events_processed).
         self._events_dispatched = 0
+        self._events_ahead = 0
         self._event_credit = 0
 
     @property
     def events_processed(self) -> int:
-        """Total processed DES events: callbacks actually dispatched
-        plus credited events (see :meth:`credit_events`).  This is the
-        events/sec numerator of ``benchmarks/bench_simspeed.py`` and a
-        pinned quantity of every fast-path parity contract.
+        """Total processed DES events: callbacks the loop dispatched,
+        pauses the run-ahead ended inline (:meth:`advance_to`), and
+        credited events (see :meth:`credit_events`).  A fast path moves
+        events between these tallies but never adds or drops one, so the
+        total is the same with the fast paths on or off: the events/sec
+        numerator of ``benchmarks/bench_simspeed.py`` and a pinned
+        quantity of every fast-path parity contract.
         """
-        return self._events_dispatched + self._event_credit
+        return self._events_dispatched + self._events_ahead + self._event_credit
+
+    @property
+    def events_dispatched(self) -> int:
+        """Callbacks :meth:`run` popped off its queues (as of its last
+        return): the events that cost a trip through the loop."""
+        return self._events_dispatched
 
     def credit_events(self, n: int) -> None:
         """Credit ``n`` events that a consolidating fast path collapsed.
 
-        The tracing-JIT tier replays a superblock's exact sequence of
-        timed pauses arithmetically and emits one ``sleep_until`` for
-        the whole region; each collapsed pause would have been one
-        dispatched callback, so the tier credits them here to keep
+        The tracing-JIT tier (its only caller) replays a superblock's
+        exact sequence of timed pauses arithmetically and flushes the
+        whole region as one pause; each collapsed pause would have been
+        one event of its own, so the tier credits them here to keep
         ``events_processed`` bit-identical across tiers (the
         tests/core/test_jit_parity.py contract).
         """
         self._event_credit += n
+
+    def advance_to(self, at: float) -> bool:
+        """End the caller's pause at ``at`` without yielding, if that is
+        exactly what the event loop would do next.
+
+        True (``now`` set to ``at``, one event counted) when ``at`` is
+        not before ``now``, not past ``run(until=...)``, strictly earlier
+        than every heap entry (an entry already due at ``at`` was
+        scheduled first, so it fires first), and no zero-delay wakeup is
+        pending.  Then the pause's own wakeup would be the next event
+        dispatched, and nothing could run in between.  False — nothing
+        changed — otherwise, outside :meth:`run`, and on a heap-only
+        simulator; the caller then yields the pause as usual.
+        """
+        queue = self._queue
+        if (
+            self.now <= at <= self._horizon
+            and not self._now_q
+            and (not queue or at < queue[0][0])
+        ):
+            self.now = at
+            self._events_ahead += 1
+            return True
+        return False
+
+    def advance(self, delay: float) -> bool:
+        """:meth:`advance_to` for a ``timeout(delay)``."""
+        return self.advance_to(self.now + delay)
 
     # -- process / primitive construction ---------------------------------
 
@@ -370,6 +444,11 @@ class Simulator:
             raise SimulationError(
                 f"sleep_until target {at!r} is in the past (now={self.now!r})"
             )
+        if at == self.now:
+            # Due now: behind every wakeup already due, as on the heap
+            # (a heap entry at ``now`` would jump the now-queue).
+            self._schedule(0.0, callback, arg)
+            return
         self._seq += 1
         heapq.heappush(self._queue, (at, self._seq, callback, arg))
 
@@ -384,6 +463,9 @@ class Simulator:
         now_q = self._now_q
         heappop = heapq.heappop
         events = self._events_dispatched
+        horizon = self._horizon
+        if self._fast:
+            self._horizon = _INF if until is None else until
         try:
             while queue or now_q:
                 if queue and queue[0][0] <= self.now:
@@ -410,6 +492,7 @@ class Simulator:
                     ) from exc
         finally:
             self._events_dispatched = events
+            self._horizon = horizon
         if until is not None:
             if self._live_processes > 0:
                 raise Deadlock(

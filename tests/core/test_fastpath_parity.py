@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.simspeed import NULL_CALL_LOOP, fast_config, slow_config
 from repro.core.config import FlickConfig
-from repro.core.machine import FlickMachine
+from repro.core.machine import FlickMachine, signed_retval
 from repro.workloads.null_call import measure_h2n_roundtrip
 from repro.workloads.pointer_chase import run_pointer_chase
 from repro.workloads.serving_profiles import PROFILES
@@ -27,6 +27,7 @@ from .pooled_processes import (
     run_interleaved,
     serve,
 )
+from .test_mode_fidelity import NESTED_CALLS, NESTED_SRC
 
 TOGGLES = ("decode_cache", "translation_fast_path", "engine_fast_path")
 
@@ -119,3 +120,59 @@ class TestPointerChase:
         fast = run_pointer_chase(32, calls=4, mode=mode, cfg=fast_config())
         slow = run_pointer_chase(32, calls=4, mode=mode, cfg=slow_config())
         assert fast.avg_call_ns == slow.avg_call_ns
+
+
+def _run_cut(cfg: FlickConfig, source: str, arg: int, cuts=()):
+    """Run ``source(arg)`` as ``run(until=cut)`` chunks, then to the end.
+
+    Returns the observables plus the dispatched-event count.  Trace pids
+    are process-global, so they are renumbered in order of appearance.
+    """
+    machine = FlickMachine(cfg)
+    thread = machine.spawn(machine.load(machine.compile(source)), args=[arg])
+    for cut in cuts:
+        machine.run(until=cut)
+        assert machine.sim.now == cut
+    machine.run()
+    pids = {None: None}
+    trace = [
+        (ev.time, ev.name, pids.setdefault(ev.pid, len(pids)), ev.attrs)
+        for ev in machine.trace.events
+    ]
+    observed = {
+        "retval": signed_retval(thread.result),
+        "sim_ns": thread.finished_at,
+        "stats": machine.stats.snapshot(),
+        "events": machine.sim.events_processed,
+        "trace": trace,
+    }
+    return observed, machine.sim.events_dispatched
+
+
+class TestRunAheadBoundaries:
+    """Exact-lookahead run-ahead on whole machines: cutting a run at
+    pause ends, running it in one go, and the heap-only engine (which
+    never runs ahead) all give the same machine, and the run-ahead does
+    take most events off the event loop."""
+
+    PROGRAMS = {"null_call_loop": (NULL_CALL_LOOP, 12), "nested": (NESTED_SRC, NESTED_CALLS)}
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_until_chunks_one_run_and_heap_only_agree(self, program):
+        source, arg = self.PROGRAMS[program]
+        heap_only, _ = _run_cut(FlickConfig(engine_fast_path=False), source, arg)
+        # Every instant the heap-only run traced (before the last, after
+        # which the machine quiesces) is the end of some pause.
+        cuts = sorted({t for t, *_ in heap_only["trace"]})[:-1]
+        assert len(cuts) > 10
+        whole, _ = _run_cut(FlickConfig(), source, arg)
+        chunked, _ = _run_cut(FlickConfig(), source, arg, cuts)
+        assert whole == heap_only
+        assert chunked == heap_only
+
+    def test_runahead_engages_on_the_null_call_loop(self):
+        source, arg = self.PROGRAMS["null_call_loop"]
+        fast, fast_dispatched = _run_cut(FlickConfig(), source, arg)
+        slow, slow_dispatched = _run_cut(FlickConfig(engine_fast_path=False), source, arg)
+        assert fast["events"] == slow["events"]
+        assert 4 * fast_dispatched <= slow_dispatched

@@ -488,3 +488,188 @@ def test_nested_process_spawning():
         return (sim.now, total)
 
     assert sim.run_process(parent(sim)) == (6, 6)
+
+
+# -- exact-lookahead run-ahead -------------------------------------------------
+#
+# Each scenario runs on the default simulator and on the heap-only one
+# (``fast_now_queue=False``, which never runs ahead): the two must agree
+# on the history, the clock and ``events_processed``, and the default
+# one must have ended some pauses inline (fewer dispatched events).
+
+
+def _both_engines(scenario):
+    """``scenario(sim)`` on both engines: ``[(result, now, events)]``."""
+    outcomes = []
+    for fast in (True, False):
+        sim = Simulator(fast_now_queue=fast)
+        result = scenario(sim)
+        outcomes.append((result, sim.now, sim.events_processed, sim.events_dispatched))
+    (fast_out, slow_out) = outcomes
+    assert fast_out[:3] == slow_out[:3]
+    assert fast_out[3] < slow_out[3]
+    return fast_out[0]
+
+
+def test_runahead_lets_a_same_instant_heap_entry_fire_first():
+    """A pause ending exactly when a heap entry is due does not run ahead:
+    that entry was scheduled first, so it fires first (strict ``<``)."""
+
+    def scenario(sim):
+        order = []
+
+        def early(sim):
+            yield sim.timeout(10)
+            order.append(("early", sim.now))
+
+        def runner(sim):
+            yield sim.timeout(5)  # ends inline: nothing due before 10
+            order.append(("runner", sim.now))
+            yield sim.timeout(5)  # ends at 10, where early is already due
+            order.append(("runner", sim.now))
+
+        sim.spawn(early(sim))
+        sim.spawn(runner(sim))
+        sim.run()
+        return order
+
+    assert _both_engines(scenario) == [("runner", 5), ("early", 10), ("runner", 10)]
+
+
+def test_runahead_stops_for_a_zero_delay_wake():
+    """A waiter woken by the running process runs at that instant, before
+    the process's next resume; advance refuses while the wake is pending."""
+
+    def scenario(sim):
+        ev = sim.event("go")
+        order = []
+
+        def waiter(sim):
+            yield ev
+            order.append(("waiter", sim.now))
+
+        def runner(sim):
+            yield sim.timeout(3)
+            ev.trigger()
+            order.append(("advance", sim.advance(2), sim.now))
+            yield sim.timeout(2)
+            order.append(("runner", sim.now))
+
+        sim.spawn(waiter(sim))
+        sim.spawn(runner(sim))
+        sim.run()
+        return order
+
+    assert _both_engines(scenario) == [
+        ("advance", False, 3), ("waiter", 3), ("runner", 5)
+    ]
+
+
+def _ticker(sim, log, ticks=4, period=10):
+    for _ in range(ticks):
+        yield sim.timeout(period)
+        log.append(sim.now)
+
+
+def test_runahead_respects_the_until_boundary():
+    """An instant equal to ``until`` fires inside ``run(until)``; one past
+    it stays pending with ``now == until``; resuming then gives the history
+    and event count of one uninterrupted run."""
+
+    def split(sim):
+        log = []
+        sim.spawn(_ticker(sim, log))
+        sim.run(until=20)
+        at_20 = (list(log), sim.now)
+        sim.run(until=25)
+        at_25 = (list(log), sim.now)
+        sim.run()
+        return at_20, at_25, log
+
+    at_20, at_25, log = _both_engines(split)
+    assert at_20 == ([10, 20], 20)
+    assert at_25 == ([10, 20], 25)
+    assert log == [10, 20, 30, 40]
+
+    def whole(sim):
+        log = []
+        sim.spawn(_ticker(sim, log))
+        sim.run()
+        return log
+
+    assert _both_engines(whole) == log
+    once, split_sim = Simulator(), Simulator()
+    once.spawn(_ticker(once, []))
+    once.run()
+    split(split_sim)
+    assert (split_sim.now, split_sim.events_processed) == (once.now, once.events_processed)
+
+
+def test_runahead_exception_surfaces_as_on_the_heap_only_engine():
+    """A process that raises after several inline resumes aborts the run
+    with the same SimulationError text, cause, clock and history."""
+
+    def scenario(sim):
+        ev = sim.event("go")
+        order = []
+
+        def waiter(sim):
+            yield ev
+            order.append(("waiter", sim.now))
+
+        def sleeper(sim):
+            yield sim.timeout(21)
+            order.append(("sleeper", sim.now))
+
+        def bad(sim):
+            yield sim.timeout(7)  # inline: nothing due before 21
+            ev.trigger()
+            yield sim.timeout(7)  # the waiter's wake comes first
+            yield sim.timeout(7)  # ties with sleeper, which comes first
+            raise ValueError("boom")
+
+        sim.spawn(waiter(sim))
+        sim.spawn(sleeper(sim))
+        sim.spawn(bad(sim))
+        with pytest.raises(SimulationError) as info:
+            sim.run()
+        cause = info.value.__cause__
+        return order, str(info.value), type(cause), cause.args
+
+    order, message, cause_type, cause_args = _both_engines(scenario)
+    assert order == [("waiter", 7), ("sleeper", 21)]
+    assert message == "uncaught exception in simulated process at t=21.0ns"
+    assert (cause_type, cause_args) == (ValueError, ("boom",))
+
+
+def test_advance_refuses_outside_run_and_on_the_heap_only_engine():
+    """Refusals leave the clock and the event count untouched."""
+    idle = Simulator()
+    assert idle.advance(5) is False
+    assert idle.advance_to(5) is False
+    assert (idle.now, idle.events_processed) == (0.0, 0)
+
+    seen = {}
+
+    def proc(sim, tag):
+        yield sim.timeout(1)
+        before = (sim.now, sim.events_processed)
+        seen[tag] = (sim.advance(5), sim.advance_to(sim.now + 5), before)
+        seen[tag + "_after"] = (sim.now, sim.events_processed)
+
+    heap_only = Simulator(fast_now_queue=False)
+    heap_only.spawn(proc(heap_only, "heap_only"))
+    heap_only.run()
+    refused, refused_to, before = seen["heap_only"]
+    assert (refused, refused_to) == (False, False)
+    assert seen["heap_only_after"] == before
+
+    fast = Simulator()
+    fast.spawn(proc(fast, "fast"))
+    fast.run()
+    assert seen["fast"][:2] == (True, True)
+    assert seen["fast_after"] == (11.0, seen["fast"][2][1] + 2)
+    # run() has returned: refused again.
+    now, events = fast.now, fast.events_processed
+    assert fast.advance(5) is False
+    assert (fast.now, fast.events_processed) == (now, events)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import Deadlock, Simulator
 
 
 @settings(max_examples=80, deadline=None)
@@ -118,3 +118,84 @@ def test_property_run_until_never_overshoots(until, period):
     sim.spawn(ticker(sim))
     sim.run(until=until)
     assert sim.now == until
+
+
+# -- run-ahead differential: default engine vs heap-only oracle ---------------
+
+_DELAYS = st.sampled_from((0, 1, 2, 3, 5))
+_OPS = st.one_of(
+    st.tuples(st.just("timeout"), _DELAYS),
+    st.tuples(st.just("sleep_until"), _DELAYS),
+    st.tuples(st.just("advance"), _DELAYS),
+    st.tuples(st.just("wait"), st.integers(0, 2)),
+    st.tuples(st.just("trigger"), st.integers(0, 2)),
+    st.tuples(st.just("put"), st.integers(0, 1)),
+    st.tuples(st.just("get"), st.integers(0, 1)),
+    st.tuples(st.just("child"), _DELAYS),
+    st.tuples(st.just("yield"), st.just(0)),
+)
+
+
+def _run_program(programs, untils, fast):
+    """Run one process per op list, split at ``untils``; return the
+    ``(now, process, step)`` history, the outcome of each run call, the
+    final clock and the processed-event count."""
+    sim = Simulator(fast_now_queue=fast)
+    events = [sim.event(f"e{k}") for k in range(3)]
+    channels = [sim.channel(f"c{k}") for k in range(2)]
+    history = []
+
+    def child(sim, d):
+        yield sim.timeout(d)
+        yield sim.timeout(d)
+        return sim.now
+
+    def proc(sim, pid, ops):
+        for step, (kind, arg) in enumerate(ops):
+            if kind == "timeout":
+                yield sim.timeout(arg)
+            elif kind == "sleep_until":
+                yield sim.sleep_until(sim.now + arg)
+            elif kind == "advance":
+                # The hot-path idiom: charge the pause in place, or yield it.
+                if not sim.advance(arg):
+                    yield sim.timeout(arg)
+            elif kind == "wait":
+                yield events[arg]
+            elif kind == "trigger":
+                if not events[arg].triggered:
+                    events[arg].trigger(pid)
+            elif kind == "put":
+                channels[arg].put((pid, step))
+            elif kind == "get":
+                yield channels[arg].get()
+            elif kind == "child":
+                yield sim.spawn(child(sim, arg))
+            else:
+                yield
+            history.append((sim.now, pid, step))
+
+    for pid, ops in enumerate(programs):
+        sim.spawn(proc(sim, pid, ops), name=f"p{pid}")
+    outcomes = []
+    for until in sorted(untils) + [None]:
+        try:
+            sim.run(until=until)
+            outcomes.append(("ok", sim.now))
+        except Deadlock as exc:
+            outcomes.append(("deadlock", str(exc)))
+            break
+    return history, outcomes, sim.now, sim.events_processed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    programs=st.lists(st.lists(_OPS, max_size=8), min_size=1, max_size=4),
+    untils=st.lists(st.integers(0, 30), max_size=3),
+)
+def test_property_runahead_matches_the_heap_only_engine(programs, untils):
+    """Inline resumes and direct advances reproduce the heap-only engine's
+    history, clock and event count, however the run is split."""
+    assert _run_program(programs, untils, fast=True) == _run_program(
+        programs, untils, fast=False
+    )
