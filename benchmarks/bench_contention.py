@@ -33,7 +33,7 @@ def _per_pid_spans(machine):
     open_start = {}
     spans = []
     for event in machine.trace.events:
-        pid = event.attrs.get("pid")
+        pid = event.pid
         if event.name == "h2n_call_start":
             open_start[pid] = event.time
         elif event.name == "h2n_call_done" and pid in open_start:

@@ -19,12 +19,6 @@ from repro.analysis.metrics import (
     render_openmetrics,
     report_from_json,
 )
-from repro.analysis.regression import (
-    RegressionResult,
-    compare,
-    compare_files,
-    render_regression,
-)
 from repro.analysis.serving import (
     RequestRecord,
     ServingResult,
@@ -34,7 +28,6 @@ from repro.analysis.serving import (
     saturation_point,
     sweep_latency_vs_load,
 )
-from repro.analysis.simspeed import SimSpeedResult, measure_simspeed
 from repro.analysis.sweep import parallel_map, resolve_workers
 from repro.analysis.tables import (
     render_table,
@@ -67,8 +60,6 @@ __all__ = [
     "render_breakdown",
     "parallel_map",
     "resolve_workers",
-    "SimSpeedResult",
-    "measure_simspeed",
     "HistogramSummary",
     "RunReport",
     "UtilizationSummary",
@@ -76,10 +67,6 @@ __all__ = [
     "render_json",
     "render_openmetrics",
     "report_from_json",
-    "RegressionResult",
-    "compare",
-    "compare_files",
-    "render_regression",
     "TrafficConfig",
     "RequestRecord",
     "ServingResult",

@@ -505,7 +505,7 @@ def render_chaos_summary(outcome: ChaosOutcome) -> str:
 
 
 def fleet_report_doc(report: FleetReport) -> dict:
-    """A BENCH_simspeed.json-style document for the whole study."""
+    """The ``flick.fleet.v3`` JSON document for the whole study."""
     fc = report.config
     return {
         "benchmark": "fleet",

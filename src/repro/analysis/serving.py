@@ -35,8 +35,8 @@ programs live in :mod:`repro.workloads.serving_profiles`):
   per-request ``serve_request`` span in the trace.  A latency-vs-load
   sweep (:func:`sweep_latency_vs_load`) fans points over
   :func:`repro.analysis.sweep.parallel_map` and lands curves in a
-  ``BENCH_simspeed.json``-style document; :func:`saturation_point`
-  reads the knee off the curve.
+  ``flick.serving.v2`` JSON document; :func:`saturation_point` reads
+  the knee off the curve from each point's keep-up ratio.
 
 Everything is deterministic and wall-clock-free: a serving run is
 replayable bit-for-bit, and the sweep produces identical results at any
@@ -380,6 +380,23 @@ class ServingResult:
     @property
     def latencies_ns(self) -> List[float]:
         return [r.latency_ns for r in self.completed_records]
+
+    @property
+    def keep_up(self) -> float:
+        """Achieved requests/sec over the *realized* arrival rate (every
+        request over the span from the epoch to the last arrival).
+
+        Near 1.0 while the machine keeps pace with its arrivals, falling
+        past saturation; shed requests count against it.  The realized
+        rate, not the nominal ``offered_qps``, is the denominator: a
+        few-hundred-request Poisson sample lands several percent off its
+        nominal rate, which would read as saturation on an idle machine.
+        Closed-loop points keep up by construction (1.0).
+        """
+        if self.config.mode != "open":
+            return 1.0
+        arrival_span_ns = max(self.arrivals_ns) - self.epoch_ns
+        return self.achieved_qps * arrival_span_ns / (len(self.records) * 1e9)
 
     @property
     def completed_records(self) -> List[RequestRecord]:
@@ -858,15 +875,11 @@ def saturation_point(
 ) -> Optional[float]:
     """The largest offered QPS the machine still keeps up with.
 
-    A point "keeps up" when achieved/offered >= ``tolerance`` (open
-    loop; closed-loop points always keep up by construction).  Returns
-    ``None`` when every point is past saturation.
+    A point "keeps up" when its :attr:`ServingResult.keep_up` ratio is
+    >= ``tolerance`` (closed-loop points always keep up by
+    construction).  Returns ``None`` when every point is past saturation.
     """
-    good = [
-        r.offered_qps
-        for r in results
-        if r.offered_qps > 0 and r.achieved_qps / r.offered_qps >= tolerance
-    ]
+    good = [r.offered_qps for r in results if r.keep_up >= tolerance]
     return max(good) if good else None
 
 
@@ -915,7 +928,7 @@ def render_serving_table(results: Sequence[ServingResult]) -> str:
     )
     lines.append(
         "saturation: "
-        + (f"~{sat:.0f} qps (last point with achieved/offered >= 0.95)"
+        + (f"~{sat:.0f} qps (last point with keep-up >= 0.95)"
            if sat is not None else "below the lowest offered point")
     )
     return "\n".join(lines)
@@ -977,7 +990,7 @@ def render_serving_openmetrics(results: Sequence[ServingResult]) -> str:
 
 
 def serving_report_doc(results: Sequence[ServingResult]) -> dict:
-    """A BENCH_simspeed.json-style document for the sweep."""
+    """The ``flick.serving.v2`` JSON document for the sweep."""
     first = results[0].config if results else TrafficConfig()
     return {
         "benchmark": "serving",

@@ -342,9 +342,9 @@ class Simulator:
         pauses the run-ahead ended inline (:meth:`advance_to`), and
         credited events (see :meth:`credit_events`).  A fast path moves
         events between these tallies but never adds or drops one, so the
-        total is the same with the fast paths on or off: the events/sec
-        numerator of ``benchmarks/bench_simspeed.py`` and a pinned
-        quantity of every fast-path parity contract.
+        total is the same with the fast paths on or off: flickbench's
+        ``sim.engine.events_per_req`` numerator and a pinned quantity of
+        every fast-path parity contract.
         """
         return self._events_dispatched + self._events_ahead + self._event_credit
 

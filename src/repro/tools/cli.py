@@ -8,8 +8,6 @@ Usage (also via ``python -m repro``):
     python -m repro trace program.fc --out program.trace.json
     python -m repro profile program.fc --args 10
     python -m repro metrics program.fc --format openmetrics
-    python -m repro bench --quick
-    python -m repro bench --quick --check benchmarks/baseline_simspeed.json
     python -m repro chaos
     python -m repro chaos --plan nxp-crash --seed 3
     python -m repro chaos --plan-file myplan.json
@@ -50,7 +48,8 @@ delay included, achieved vs offered throughput, per-device utilization,
 and the saturation point (docs/OBSERVABILITY.md's serving-metrics
 section); ``--out`` lands the curve as ``flick.serving.v2`` JSON,
 ``--format openmetrics`` emits scrape-ready series, and ``--tolerance``
-turns the achieved/offered ratio into an exit-code gate (the CI smoke);
+turns the keep-up ratio (achieved over the realized arrival rate) into
+an exit-code gate (the CI smoke);
 ``--nxps``/``--policy`` serve against a multi-NxP machine (docs/FLEET.md);
 ``--traced`` threads a per-request trace id through every span the
 request touches and prints a tail-attribution line per point;
@@ -71,13 +70,6 @@ with device count).
 (``--format``/``--out``); they and ``chaos`` share one exit-code gate
 and one usage-error path: invalid flags or scenarios print
 ``error: ...`` and exit 2.
-``bench`` measures simulator throughput with the fast paths on vs off
-(docs/PERFORMANCE.md); ``--quick`` shrinks the workloads to a
-sub-30-second smoke, ``--hosted`` adds the hosted-mode op-batching
-measurement (batched vs unbatched pointer chase, asserting bit-identical
-parity via the exit code), ``--save`` writes the report as a baseline
-JSON, and ``--check BASELINE`` gates the run against a saved baseline
-(exit 1 on regression — the CI perf job).
 """
 
 from __future__ import annotations
@@ -220,32 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="write to a file instead of stdout"
     )
 
-    bench_p = sub.add_parser(
-        "bench", help="measure simulator throughput, fast paths on vs off"
-    )
-    bench_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller workloads, one repeat (a quick smoke, not a stable number)",
-    )
-    bench_p.add_argument(
-        "--hosted",
-        action="store_true",
-        help="also measure hosted-mode op batching (on vs off, exact parity)",
-    )
-    bench_p.add_argument(
-        "--save",
-        metavar="PATH",
-        default=None,
-        help="write this run's report as a baseline JSON",
-    )
-    bench_p.add_argument(
-        "--check",
-        metavar="BASELINE",
-        default=None,
-        help="gate this run against a saved baseline (exit 1 on regression)",
-    )
-
     chaos_p = sub.add_parser(
         "chaos", help="run workloads under seeded fault plans; verdict table"
     )
@@ -321,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FRAC",
         help="gate: exit 1 unless every point achieves at least FRAC of its "
-        "offered QPS and reports a finite p99 (the CI smoke check)",
+        "realized arrival rate and reports a finite p99 (the CI smoke check)",
     )
     serve_p.add_argument(
         "--traced",
@@ -619,51 +585,6 @@ def _cmd_metrics(args, out) -> int:
     return 0
 
 
-def _cmd_bench(args, out) -> int:
-    from dataclasses import asdict
-
-    from repro.analysis.simspeed import (
-        measure_all,
-        measure_hosted_batching,
-        render,
-        render_hosted,
-    )
-
-    if args.quick:
-        results = measure_all(repeats=1, scale=0.15)
-    else:
-        results = measure_all(repeats=3)
-    print(render(results), file=out)
-    ok = all(r.parity for r in results)
-    hosted = None
-    if args.hosted:
-        if args.quick:
-            hosted = measure_hosted_batching(accesses=30_000, repeats=1)
-        else:
-            hosted = measure_hosted_batching()
-        print(render_hosted(hosted), file=out)
-        ok = ok and hosted.parity
-
-    if args.save or args.check:
-        doc = {
-            "benchmark": "simspeed",
-            "workloads": [asdict(r) for r in results],
-        }
-        if hosted is not None:
-            doc["hosted_batching"] = asdict(hosted)
-        if args.save:
-            with open(args.save, "w") as handle:
-                json.dump(doc, handle, indent=2)
-            print(f"baseline saved -> {args.save}", file=out)
-        if args.check:
-            from repro.analysis.regression import compare_files, render_regression
-
-            gate = compare_files(args.check, current_doc=doc)
-            print(render_regression(gate), file=out)
-            ok = ok and gate.ok
-    return 0 if ok else 1
-
-
 def _report(args, out, doc, render, runs=(), notes=()) -> None:
     """Print an analysis command's result in its ``--format`` and write
     its ``--out``.
@@ -833,15 +754,12 @@ def _cmd_serve(args, out) -> int:
                 failures.append(f"{r.offered_qps:g} qps: violates {slo.spec}")
     if args.tolerance is not None:
         for r in results:
-            # achieved_qps already counts completed requests only, so a
-            # point that sheds its way out of overload fails the ratio
-            # check unless the tolerance allows for the shed fraction.
-            ratio = r.achieved_qps / r.offered_qps if r.offered_qps > 0 else 0.0
-            if ratio < args.tolerance:
+            # keep_up counts completed requests only, so a point that
+            # sheds its way out of overload fails the ratio check unless
+            # the tolerance allows for the shed fraction.
+            if r.keep_up < args.tolerance:
                 note = f" ({r.shed} shed)" if r.shed else ""
-                failures.append(
-                    f"{r.offered_qps:g} qps: achieved/offered {ratio:.3f}{note}"
-                )
+                failures.append(f"{r.offered_qps:g} qps: keep-up {r.keep_up:.3f}{note}")
             if not math.isfinite(r.p99_ns):
                 failures.append(f"{r.offered_qps:g} qps: no p99 (empty latency sample)")
             if r.errors:
@@ -973,7 +891,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "trace": _cmd_trace,
         "profile": _cmd_profile,
         "metrics": _cmd_metrics,
-        "bench": _cmd_bench,
     }
     if args.command in programs:
         return programs[args.command](args, out)

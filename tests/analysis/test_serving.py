@@ -271,6 +271,17 @@ class TestCLI:
         assert code == 1
         assert "serve gate FAILED" in out.getvalue()
 
+    def test_default_point_keeps_up(self):
+        # Seed 0's 200 Poisson arrivals come in at 924/s, not the nominal
+        # 1000 QPS; a machine this idle must still read as keeping up.
+        import io
+
+        from repro.tools.cli import main
+
+        out = io.StringIO()
+        assert main(["serve", "--tolerance", "0.95"], out=out) == 0
+        assert "saturation: ~1000 qps" in out.getvalue()
+
 
 class TestProfiles:
     def test_every_profile_has_positive_args_and_golden(self):

@@ -12,13 +12,13 @@ import itertools
 
 import pytest
 
-from repro.analysis.simspeed import NULL_CALL_LOOP, fast_config, slow_config
 from repro.core.config import FlickConfig
 from repro.core.machine import FlickMachine, signed_retval
 from repro.workloads.null_call import measure_h2n_roundtrip
 from repro.workloads.pointer_chase import run_pointer_chase
 from repro.workloads.serving_profiles import PROFILES
 
+from .microloops import COMPUTE_LOOP, NULL_CALL_LOOP, slow_config
 from .pooled_processes import (
     ADDEND,
     LOOPS,
@@ -48,18 +48,40 @@ class TestInterpretedNullCallLoop:
     and engine all in play."""
 
     def test_all_fast_paths_off_is_bit_identical(self):
-        assert _run_interpreted(fast_config()) == _run_interpreted(slow_config())
+        assert _run_interpreted(FlickConfig()) == _run_interpreted(slow_config())
 
     @pytest.mark.parametrize("toggle", TOGGLES)
     def test_each_toggle_alone_is_bit_identical(self, toggle):
         cfg = FlickConfig(**{toggle: False})
-        assert _run_interpreted(fast_config()) == _run_interpreted(cfg)
+        assert _run_interpreted(FlickConfig()) == _run_interpreted(cfg)
 
     def test_toggle_pairs_are_bit_identical(self):
-        reference = _run_interpreted(fast_config())
+        reference = _run_interpreted(FlickConfig())
         for pair in itertools.combinations(TOGGLES, 2):
             cfg = FlickConfig(**{name: False for name in pair})
             assert _run_interpreted(cfg) == reference, pair
+
+
+#: Each microloop's deterministic observables on the default config:
+#: (retval, simulated ns, instructions, events_processed).  These are
+#: pure functions of the model; a change here means the simulation
+#: changed, not that the machine was slow.
+MICROLOOP_PINS = {
+    "null_call_loop": (NULL_CALL_LOOP, 60, (1830, 1122547.3593189863, 3027, 9301)),
+    "compute_loop": (
+        COMPUTE_LOOP, 600, (-3255518093052514740, 38968.97222223703, 18627, 27641),
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(MICROLOOP_PINS))
+def test_microloop_counts_are_pinned(workload):
+    source, n, expected = MICROLOOP_PINS[workload]
+    machine = FlickMachine(FlickConfig())
+    outcome = machine.run_program(source, args=[n])
+    instructions = sum(int(v) for k, v in outcome.stats.items() if k.endswith(".inst"))
+    observed = (outcome.retval, outcome.sim_time_ns, instructions, machine.sim.events_processed)
+    assert observed == expected
 
 
 class TestPooledProcesses:
@@ -109,7 +131,7 @@ class TestPooledProcesses:
 
 class TestNullCallRoundtrip:
     def test_roundtrip_ns_identical(self):
-        fast = measure_h2n_roundtrip(cfg=fast_config(), calls=20)
+        fast = measure_h2n_roundtrip(cfg=FlickConfig(), calls=20)
         slow = measure_h2n_roundtrip(cfg=slow_config(), calls=20)
         assert fast.roundtrip_us == slow.roundtrip_us
 
@@ -117,7 +139,7 @@ class TestNullCallRoundtrip:
 class TestPointerChase:
     @pytest.mark.parametrize("mode", ["flick", "host"])
     def test_avg_call_ns_identical(self, mode):
-        fast = run_pointer_chase(32, calls=4, mode=mode, cfg=fast_config())
+        fast = run_pointer_chase(32, calls=4, mode=mode, cfg=FlickConfig())
         slow = run_pointer_chase(32, calls=4, mode=mode, cfg=slow_config())
         assert fast.avg_call_ns == slow.avg_call_ns
 

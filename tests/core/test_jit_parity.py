@@ -15,12 +15,12 @@ separation too.
 
 import pytest
 
-from repro.analysis.simspeed import COMPUTE_LOOP, NULL_CALL_LOOP, slow_config
 from repro.core.config import FlickConfig
 from repro.core.hosted import HostedMachine, HostedProgram
 from repro.core.machine import FlickMachine
 from repro.sim.faults import FaultPlan, FaultRule
 
+from .microloops import COMPUTE_LOOP, NULL_CALL_LOOP, slow_config
 from .pooled_processes import ADDEND, LOOPS, pooled_machine, run_interleaved, serve
 
 #: A NISA-side hot loop: the whole body (including the BRAM stack

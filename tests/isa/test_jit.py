@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.isa.jit as jit_module
-from repro.analysis.simspeed import COMPUTE_LOOP
 from repro.isa.base import IllegalInstruction
 from repro.core.config import FlickConfig
 from repro.core.machine import FlickMachine
 from repro.isa.interpreter import CostModel, Interpreter
 from repro.sim import Simulator
 
+from ..core.microloops import COMPUTE_LOOP
 from .conftest import FlatPort
 
 

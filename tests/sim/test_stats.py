@@ -288,9 +288,10 @@ class TestObservedTier:
         )
 
     def test_jit_on_and_off_runs_differ_only_in_jit_counters(self):
-        from repro.analysis.simspeed import COMPUTE_LOOP
         from repro.core.config import FlickConfig
         from repro.core.machine import FlickMachine
+
+        from ..core.microloops import COMPUTE_LOOP
 
         tiers = []
         snapshots = []

@@ -182,24 +182,6 @@ class TestProfile:
         assert "Measured migration breakdown" in out
 
 
-class TestBench:
-    def test_quick_bench_reports_parity(self):
-        code, out = run_cli(["bench", "--quick"])
-        assert code == 0  # non-zero would mean a parity violation
-        lines = out.splitlines()
-        assert "workload" in lines[0] and "parity" in lines[0]
-        assert any(line.startswith("null_call_loop") for line in lines)
-        assert any(line.startswith("compute_loop") for line in lines)
-        assert "False" not in out
-
-    def test_quick_hosted_smoke_asserts_parity(self):
-        code, out = run_cli(["bench", "--quick", "--hosted"])
-        assert code == 0  # non-zero would mean a parity violation
-        assert "hosted_pointer_chase" in out
-        assert "parity True" in out
-        assert "False" not in out
-
-
 class TestServe:
     def test_mixed_scenario_at_defaults(self):
         # 8 clients x 4 request kinds load ~30 processes; every one
@@ -289,62 +271,6 @@ class TestMetrics:
         assert code == 0
         assert str(dst) in out
         assert dst.read_text().startswith("{")
-
-
-class TestBenchGate:
-    """--save/--check without paying for a real measurement."""
-
-    @pytest.fixture
-    def fake_measure(self, monkeypatch):
-        from repro.analysis.simspeed import SimSpeedResult
-
-        result = SimSpeedResult(
-            workload="null_call_loop",
-            iterations=50,
-            wall_s_fast=0.01,
-            wall_s_slow=0.02,
-            speedup=2.0,
-            instructions=1000,
-            inst_per_sec_fast=1e5,
-            inst_per_sec_slow=5e4,
-            events=2000,
-            events_per_sec_fast=2e5,
-            events_per_sec_slow=1e5,
-            sim_ns=123456.0,
-            parity=True,
-        )
-        calls = {"n": 0}
-
-        def fake_all(repeats=2, scale=1.0):
-            calls["n"] += 1
-            return [result]
-
-        import repro.analysis.simspeed as simspeed
-
-        monkeypatch.setattr(simspeed, "measure_all", fake_all)
-        return result
-
-    def test_save_then_check_passes(self, fake_measure, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        code, out = run_cli(["bench", "--quick", "--save", str(baseline)])
-        assert code == 0
-        assert baseline.exists()
-        code, out = run_cli(["bench", "--quick", "--check", str(baseline)])
-        assert code == 0
-        assert "PASS" in out
-
-    def test_check_fails_on_deterministic_drift(self, fake_measure, tmp_path):
-        import json
-
-        baseline = tmp_path / "baseline.json"
-        run_cli(["bench", "--quick", "--save", str(baseline)])
-        doc = json.loads(baseline.read_text())
-        doc["workloads"][0]["sim_ns"] += 1.0  # deliberate violation
-        baseline.write_text(json.dumps(doc))
-        code, out = run_cli(["bench", "--quick", "--check", str(baseline)])
-        assert code == 1
-        assert "FAIL" in out
-        assert "sim_ns" in out
 
 
 class TestParser:
