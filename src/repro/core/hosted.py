@@ -246,16 +246,14 @@ class HostedContext:
         entry = executor._tcache.entry
         phys = self.machine.phys
         read_u64 = phys.read_u64
+        # Each hop's 8-byte read probes PhysicalMemory's frame index
+        # inline; an untouched page, a page straddle or MMIO falls back
+        # to phys.read_u64.
+        frames = phys._frames
         step_fs = round(self._cycle_ns(compute_cycles) * _FS_PER_NS) if compute_cycles else 0
         charged = self._charged_fs
         node = vaddr
         bram_lo, bram_hi = executor._bram_lo, executor._bram_hi
-        # Inline replica of MemoryRegion.read_u64's single-page branch,
-        # keyed on the last RAM region touched; anything else (region
-        # switch, page straddle, MMIO) falls back to phys.read_u64.
-        region_lo, region_hi = 0, -1
-        region_base = 0
-        region_pages: Dict[int, bytearray] = {}
         if self.side != "nxp":  # host, or fallback emulation on a host core
             # access_latency's host branch, unrolled: translate, then
             # three bounds checks pick a precomputed fs constant (same
@@ -272,38 +270,24 @@ class HostedContext:
                     charged += fs_bram
                 else:
                     charged += fs_bar
-                if region_lo <= paddr <= region_hi:
-                    offset = paddr - region_base
-                    in_page = offset & 4095
-                    if in_page <= 4088:
-                        page = region_pages.get(offset >> 12)
-                        node = (
-                            int.from_bytes(page[in_page : in_page + 8], "little")
-                            if page is not None
-                            else 0
-                        )
-                        continue
+                in_page = paddr & 4095
+                page = frames.get(paddr >> 12) if in_page <= 4088 else None
+                if page is not None:
+                    node = int.from_bytes(page[in_page : in_page + 8], "little")
+                else:
                     node = read_u64(paddr)
-                    continue
-                node = read_u64(paddr)
-                region = phys.region_for(paddr, 8)
-                pages = getattr(region, "_pages", None)
-                if pages is not None:
-                    region_base = region_lo = region.base
-                    region_hi = region.base + region.size - 8
-                    region_pages = pages
             self._charged_fs = charged
             return node
-        # NxP side.  Inline the front-entry TLB hit (the hot-page case)
-        # with the exact bookkeeping access_latency performs — stamp
-        # bump, lru_stamp, hit counter; move-to-front is a no-op at
-        # index 0 — and precomputed hit+route fs constants built from
-        # the same float sums access_latency returns.  Anything else
-        # (front-entry miss, segment windows configured) takes the
-        # reference access_latency call unchanged.
+        # NxP side.  A hop inside the page of the last D-TLB entry used
+        # (``e``, a local memo) performs the bookkeeping of
+        # access_latency's TLB hit inline — TLB.touch's stamp bump,
+        # lru_stamp and hit counter — and charges a precomputed hit+route
+        # fs constant built from the same float sums access_latency
+        # returns.  Any other hop, and every hop when segment windows are
+        # configured, takes the reference access_latency call unchanged;
+        # it may insert or evict, so the memo is re-read after it.
         latency = executor.access_latency
         dtlb = executor._nxp_dtlb
-        entries = dtlb._entries  # mutated in place by lookup/insert/flush
         hit_counter = dtlb._c_hit
         remap = dtlb.remap
         remap_lo = remap.bar_base
@@ -312,8 +296,8 @@ class HostedContext:
         fs_hit_local = round((executor._lat_tlb_hit + executor._lat_nxp_local_read) * _FS_PER_NS) + step_fs
         fs_hit_host = round((executor._lat_tlb_hit + executor._lat_nxp_host_read) * _FS_PER_NS) + step_fs
         fast_ok = not executor.nxp_segments
+        e = None
         for _ in range(count):
-            e = entries[0] if (fast_ok and entries) else None
             if e is not None and e.vbase <= node < e.vbase + e.page_size:
                 dtlb._stamp += 1
                 e.lru_stamp = dtlb._stamp
@@ -325,29 +309,17 @@ class HostedContext:
                     charged += fs_hit_local
                 else:
                     charged += fs_hit_host
-                if region_lo <= paddr <= region_hi:
-                    offset = paddr - region_base
-                    in_page = offset & 4095
-                    if in_page <= 4088:
-                        page = region_pages.get(offset >> 12)
-                        node = (
-                            int.from_bytes(page[in_page : in_page + 8], "little")
-                            if page is not None
-                            else 0
-                        )
-                        continue
-                    node = read_u64(paddr)
-                    continue
-                node = read_u64(paddr)
-                region = phys.region_for(paddr, 8)
-                pages = getattr(region, "_pages", None)
-                if pages is not None:
-                    region_base = region_lo = region.base
-                    region_hi = region.base + region.size - 8
-                    region_pages = pages
             else:
                 charged += round(latency("nxp", node, False) * _FS_PER_NS) + step_fs
-                node = read_u64(node + entry(node)[0])
+                if fast_ok:
+                    e = dtlb.probe(node)
+                paddr = node + entry(node)[0]
+            in_page = paddr & 4095
+            page = frames.get(paddr >> 12) if in_page <= 4088 else None
+            if page is not None:
+                node = int.from_bytes(page[in_page : in_page + 8], "little")
+            else:
+                node = read_u64(paddr)
         self._charged_fs = charged
         return node
 

@@ -563,7 +563,9 @@ class JitEngine:
             icache = port.icache
             dtlb = port.dtlb
             dcache = port.dcache
-            cacheable = port.cacheable
+            # The live window list, so a window the loader registers
+            # while this block waits on the port is seen at once.
+            windows = port.cacheable._windows
             provider = port.tables_provider
             c_fetch = port._c_fetch
             c_load_local = port._c_load_local
@@ -573,6 +575,13 @@ class JitEngine:
             bram_ns = cfg.nxp_bram_ns
             local_read_ns = cfg.nxp_to_local_read_ns
             local_write_ns = cfg.nxp_to_local_write_ns
+            bram_lo = port.mm.nxp_bram_base
+            bram_hi = bram_lo + port.mm.nxp_bram_size
+            # The D-TLB's BAR-remap window (TLB.route's "local" test);
+            # an unprogrammed register captures nothing.
+            remap = dtlb.remap
+            remap_lo = remap.bar_base
+            remap_hi = remap_lo + remap.size if remap.size > 0 else remap_lo
         else:
             tcache = port.tcache
             tables = port.tables
@@ -609,8 +618,8 @@ class JitEngine:
             cost = op[2]
             if nxp and (cost or kind != K_LOOP):
                 # -- I-fetch replay (not for the synthetic loop marker) --
-                probed = itlb.probe(pc_i)
-                if probed is None or not probed.nx:
+                fetched = itlb.probe(pc_i)
+                if fetched is None or not fetched.nx:
                     itp.pc = pc_i
                     counter.value += n
                     c_block_inst.value += n
@@ -621,8 +630,8 @@ class JitEngine:
                         if not advance_to(t):
                             yield sleep_until(t)
                     return
-                fetched = itlb.lookup(pc_i)  # counted hit + LRU, as fetch would
-                paddr = fetched.paddr_for(pc_i)
+                itlb.touch(fetched)  # counted hit + LRU, as fetch would
+                paddr = fetched.pbase | (pc_i - fetched.vbase)
                 c_fetch.value += 1
                 if icache.access(paddr):
                     t += tlb_hit_ns
@@ -691,22 +700,25 @@ class JitEngine:
                 size = op[4]
                 hit = dtlb.probe(addr)
                 if hit is not None:
-                    paddr = hit.paddr_for(addr)
-                    bram = mm.bram_contains(paddr)
-                    if bram or dtlb.route(paddr)[0] == "local":
+                    paddr = hit.pbase | (addr - hit.vbase)
+                    bram = bram_lo <= paddr < bram_hi
+                    if bram or remap_lo <= paddr < remap_hi:
                         # Fast replay of port.load's BRAM / local-window
                         # routes: counted D-TLB hit, then the same route
                         # bookkeeping, with the pauses consolidated.
-                        dtlb.lookup(addr)
+                        dtlb.touch(hit)
                         t += tlb_hit_ns
                         c_load.value += 1
                         if bram:
                             t += bram_ns
                         else:
-                            if cacheable.cacheable(paddr) and dcache.access(paddr):
-                                t += icache_hit_ns
+                            for base, span in windows:
+                                if base <= paddr < base + span:
+                                    cached = dcache.access(paddr)
+                                    break
                             else:
-                                t += local_read_ns
+                                cached = False
+                            t += icache_hit_ns if cached else local_read_ns
                             c_load_local.value += 1
                         pauses += 2
                         rwrite(op[5], int.from_bytes(phys.read(paddr, size), "little"))
@@ -733,10 +745,10 @@ class JitEngine:
                 size = op[4]
                 hit = dtlb.probe(addr)
                 if hit is not None and hit.writable:
-                    paddr = hit.paddr_for(addr)
-                    bram = mm.bram_contains(paddr)
-                    if bram or dtlb.route(paddr)[0] == "local":
-                        dtlb.lookup(addr)
+                    paddr = hit.pbase | (addr - hit.vbase)
+                    bram = bram_lo <= paddr < bram_hi
+                    if bram or remap_lo <= paddr < remap_hi:
+                        dtlb.touch(hit)
                         t += tlb_hit_ns
                         c_store.value += 1
                         if provider is not None:
@@ -747,8 +759,10 @@ class JitEngine:
                         if bram:
                             t += bram_ns
                         else:
-                            if cacheable.cacheable(paddr):
-                                dcache.invalidate_range(paddr, size)
+                            for base, span in windows:
+                                if base <= paddr < base + span:
+                                    dcache.invalidate_range(paddr, size)
+                                    break
                             t += local_write_ns
                         pauses += 2
                         phys.write(paddr, data)

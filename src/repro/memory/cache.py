@@ -8,12 +8,16 @@ coherence with the host (PCIe has no snooping), which the
 
 These are bookkeeping models: they answer hit/miss and track stats; the
 caller charges the appropriate latency.
+
+Lines are indexed, not scanned: one ``line -> lru stamp`` dict plus a
+resident list per set.  Every hit and fill takes the next value of one
+integer stamp per cache, so a set's least-recently-used line is its
+minimum-stamp line however the index is laid out.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.stats import StatRegistry
 
@@ -40,56 +44,55 @@ class Cache:
         self.ways = ways
         self.num_sets = total_lines // ways
         self.stats = stats or StatRegistry()
-        # sets[i] = list of (tag, lru_stamp)
-        self._sets: List[List[Tuple[int, int]]] = [[] for _ in range(self.num_sets)]
-        self._stamp = itertools.count(1)
+        self._shift = line_bytes.bit_length() - 1
+        self._stamps: Dict[int, int] = {}  # resident line number -> lru stamp
+        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        self._stamp = 0
         self._c_hit = self.stats.counter(f"{name}.hit")
         self._c_miss = self.stats.counter(f"{name}.miss")
         self._c_evict = self.stats.counter(f"{name}.evict")
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        line = addr // self.line_bytes
-        return line % self.num_sets, line // self.num_sets
-
     def access(self, addr: int) -> bool:
         """Touch ``addr``; returns True on hit.  Misses install the line."""
-        set_idx, tag = self._locate(addr)
-        cache_set = self._sets[set_idx]
-        for i, (existing_tag, _stamp) in enumerate(cache_set):
-            if existing_tag == tag:
-                cache_set[i] = (tag, next(self._stamp))
-                self._c_hit.value += 1
-                return True
+        line = addr >> self._shift
+        stamps = self._stamps
+        self._stamp += 1
+        if line in stamps:
+            stamps[line] = self._stamp
+            self._c_hit.value += 1
+            return True
         self._c_miss.value += 1
+        cache_set = self._sets[line % self.num_sets]
         if len(cache_set) >= self.ways:
-            victim = min(range(len(cache_set)), key=lambda i: cache_set[i][1])
-            del cache_set[victim]
+            victim = min(cache_set, key=stamps.__getitem__)
+            cache_set.remove(victim)
+            del stamps[victim]
             self._c_evict.value += 1
-        cache_set.append((tag, next(self._stamp)))
+        cache_set.append(line)
+        stamps[line] = self._stamp
         return False
 
     def probe(self, addr: int) -> bool:
         """Non-mutating presence check (no LRU update, no stats)."""
-        set_idx, tag = self._locate(addr)
-        return any(t == tag for t, _ in self._sets[set_idx])
+        return addr >> self._shift in self._stamps
 
     def flush(self) -> None:
+        self._stamps.clear()
         self._sets = [[] for _ in range(self.num_sets)]
         self.stats.count(f"{self.name}.flush")
 
     def invalidate_range(self, addr: int, length: int) -> None:
-        first = addr // self.line_bytes
-        last = (addr + max(length, 1) - 1) // self.line_bytes
+        stamps = self._stamps
+        first = addr >> self._shift
+        last = (addr + max(length, 1) - 1) >> self._shift
         for line in range(first, last + 1):
-            set_idx = line % self.num_sets
-            tag = line // self.num_sets
-            self._sets[set_idx] = [
-                (t, s) for t, s in self._sets[set_idx] if t != tag
-            ]
+            if line in stamps:
+                del stamps[line]
+                self._sets[line % self.num_sets].remove(line)
 
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._stamps)
 
 
 class CacheableFilter:
@@ -107,4 +110,7 @@ class CacheableFilter:
         self._windows.append((base, size))
 
     def cacheable(self, paddr: int) -> bool:
-        return any(base <= paddr < base + size for base, size in self._windows)
+        for base, size in self._windows:
+            if base <= paddr < base + size:
+                return True
+        return False

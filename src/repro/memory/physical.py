@@ -12,6 +12,13 @@ walker, or the DMA engine) using the latencies in
 :class:`repro.core.config.FlickConfig`.  Backing storage is sparse
 (4 KB pages allocated on first touch) so a 4 GB region costs nothing
 until used.
+
+:class:`PhysicalMemory` also keeps a frame index, ``pfn -> page``, that
+each RAM region fills as it allocates a page.  Pages are never freed,
+so an indexed frame stays valid for the machine's lifetime, and a
+single-page access to a touched frame is one dict probe.  Untouched
+pages, page or region straddles, MMIO and undecoded addresses take the
+region walk, :meth:`PhysicalMemory.region_for`.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 __all__ = ["MemoryRegion", "MMIORegion", "PhysicalMemory", "BadAddress"]
 
 _PAGE = 4096
+_PAGE_SHIFT = 12
 
 
 class BadAddress(Exception):
@@ -40,6 +48,20 @@ class MemoryRegion:
         self.base = base
         self.size = size
         self._pages: Dict[int, bytearray] = {}
+        # The owning PhysicalMemory's frame index, once added to one.
+        # Only pages wholly inside the region are indexed, so an indexed
+        # access never reaches past the region's end.
+        self._frames: Optional[Dict[int, bytearray]] = None
+        self._pfn_base = base >> _PAGE_SHIFT
+        self._whole_pages = size >> _PAGE_SHIFT
+
+    def attach_frames(self, frames: Dict[int, bytearray]) -> None:
+        """Publish this region's pages, now and as they are allocated,
+        into ``frames`` (a :class:`PhysicalMemory` frame index)."""
+        self._frames = frames
+        for idx, page in self._pages.items():
+            if idx < self._whole_pages:
+                frames[self._pfn_base + idx] = page
 
     def contains(self, paddr: int, nbytes: int = 1) -> bool:
         return self.base <= paddr and paddr + nbytes <= self.base + self.size
@@ -50,6 +72,8 @@ class MemoryRegion:
         if page is None and create:
             page = bytearray(_PAGE)
             self._pages[idx] = page
+            if self._frames is not None and idx < self._whole_pages:
+                self._frames[self._pfn_base + idx] = page
         return page
 
     def read(self, paddr: int, nbytes: int) -> bytes:
@@ -171,6 +195,7 @@ class PhysicalMemory:
     def __init__(self) -> None:
         self._regions: List[object] = []
         self._last_region = None  # most-recently-decoded region (hot path)
+        self._frames: Dict[int, bytearray] = {}  # pfn -> touched RAM page
 
     def add_region(self, region) -> None:
         for other in self._regions:
@@ -181,6 +206,8 @@ class PhysicalMemory:
                     f"region {region.name!r} overlaps {other.name!r}"
                 )
         self._regions.append(region)
+        if isinstance(region, MemoryRegion):
+            region.attach_frames(self._frames)
 
     def region_for(self, paddr: int, nbytes: int = 1):
         last = self._last_region
@@ -201,10 +228,22 @@ class PhysicalMemory:
     # -- byte access --------------------------------------------------------
 
     def read(self, paddr: int, nbytes: int) -> bytes:
+        in_page = paddr & (_PAGE - 1)
+        if in_page + nbytes <= _PAGE:
+            page = self._frames.get(paddr >> _PAGE_SHIFT)
+            if page is not None:
+                return bytes(page[in_page : in_page + nbytes])
         return self.region_for(paddr, nbytes).read(paddr, nbytes)
 
     def write(self, paddr: int, data: bytes) -> None:
-        self.region_for(paddr, len(data)).write(paddr, data)
+        nbytes = len(data)
+        in_page = paddr & (_PAGE - 1)
+        if in_page + nbytes <= _PAGE:
+            page = self._frames.get(paddr >> _PAGE_SHIFT)
+            if page is not None:
+                page[in_page : in_page + nbytes] = data
+                return
+        self.region_for(paddr, nbytes).write(paddr, data)
 
     # -- typed helpers (little-endian, matching both our toy ISAs) ----------
 
@@ -218,6 +257,11 @@ class PhysicalMemory:
         return struct.unpack("<I", self.read(paddr, 4))[0]
 
     def read_u64(self, paddr: int) -> int:
+        in_page = paddr & (_PAGE - 1)
+        if in_page <= _PAGE - 8:
+            page = self._frames.get(paddr >> _PAGE_SHIFT)
+            if page is not None:
+                return int.from_bytes(page[in_page : in_page + 8], "little")
         return self.region_for(paddr, 8).read_u64(paddr)
 
     def write_u8(self, paddr: int, value: int) -> None:

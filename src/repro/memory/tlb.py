@@ -12,12 +12,19 @@ two Flick-specific features the paper adds:
 * **Inverted NX sense** — handled by the consumer passing
   ``invert_nx=True`` to permission checks; the TLB stores the NX bit
   verbatim.
+
+Entries are indexed, not scanned: one ``vaddr >> shift -> entry`` dict
+per resident page size, plus a last-hit memo.  The pages of a TLB are
+disjoint, so at most one entry covers any address and the index finds
+the same entry a scan would.  Replacement is by a single per-TLB
+``lru_stamp`` sequence, so the victim is the same whatever the index
+looks like.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.memory.paging import Translation
 from repro.sim.stats import StatRegistry
@@ -35,9 +42,6 @@ class TLBEntry:
     nx: bool
     lru_stamp: int = 0
 
-    def covers(self, vaddr: int) -> bool:
-        return self.vbase <= vaddr < self.vbase + self.page_size
-
     def paddr_for(self, vaddr: int) -> int:
         return self.pbase | (vaddr - self.vbase)
 
@@ -49,12 +53,6 @@ class RemapWindow:
     bar_base: int = 0
     size: int = 0
     offset: int = 0  # host BAR address - NxP local address
-
-    def applies(self, paddr: int) -> bool:
-        return self.size > 0 and self.bar_base <= paddr < self.bar_base + self.size
-
-    def to_local(self, paddr: int) -> int:
-        return paddr - self.offset
 
 
 class TLB:
@@ -72,7 +70,10 @@ class TLB:
         self.capacity = entries
         self.stats = stats or StatRegistry()
         self.remap = RemapWindow()
-        self._entries: list[TLBEntry] = []
+        # (shift, {vaddr >> shift: entry}) per page size with an entry.
+        self._resident: List[Tuple[int, Dict[int, TLBEntry]]] = []
+        self._count = 0
+        self._last: Optional[TLBEntry] = None  # last entry found (host-side memo)
         self._stamp = 0
         self._c_hit = self.stats.counter(f"{name}.hit")
         self._c_miss = self.stats.counter(f"{name}.miss")
@@ -86,43 +87,42 @@ class TLB:
 
     # -- lookup / fill -----------------------------------------------------
 
-    def _bump_stamp(self) -> int:
-        self._stamp += 1
-        return self._stamp
-
     def lookup(self, vaddr: int) -> Optional[TLBEntry]:
-        """Return the covering entry (bumping LRU), or None on miss.
-
-        Hits move their entry to the scan front — pure wall-clock help
-        for the common hot-page case; pages are disjoint, so scan order
-        cannot change which entry matches, and replacement uses
-        ``lru_stamp``, not list position."""
-        entries = self._entries
-        for i, entry in enumerate(entries):
-            if entry.vbase <= vaddr < entry.vbase + entry.page_size:
-                self._stamp += 1
-                entry.lru_stamp = self._stamp
-                self._c_hit.value += 1
-                if i:
-                    entries[i] = entries[0]
-                    entries[0] = entry
-                return entry
-        self._c_miss.value += 1
-        return None
+        """Return the covering entry (bumping LRU), or None on miss."""
+        entry = self.probe(vaddr)
+        if entry is None:
+            self._c_miss.value += 1
+        else:
+            self.touch(entry)
+        return entry
 
     def probe(self, vaddr: int) -> Optional[TLBEntry]:
         """Non-mutating :meth:`lookup`: no LRU movement, no stamp bump,
         no hit/miss counters.  The JIT tier uses it to decide whether an
         access can run on the compiled fast path *before* committing any
-        observable TLB bookkeeping (a miss bails to the interpreter,
-        which then performs the real, counted lookup)."""
-        for entry in self._entries:
-            if entry.vbase <= vaddr < entry.vbase + entry.page_size:
+        observable TLB bookkeeping, then commits it with :meth:`touch`
+        (a miss bails to the interpreter, which then performs the real,
+        counted lookup)."""
+        last = self._last
+        if last is not None and last.vbase <= vaddr < last.vbase + last.page_size:
+            return last
+        for shift, pages in self._resident:
+            entry = pages.get(vaddr >> shift)
+            if entry is not None:
+                self._last = entry
                 return entry
         return None
 
+    def touch(self, entry: TLBEntry) -> None:
+        """Count a hit on ``entry``, which :meth:`probe` just returned:
+        exactly the bookkeeping of a hitting :meth:`lookup`."""
+        self._stamp += 1
+        entry.lru_stamp = self._stamp
+        self._c_hit.value += 1
+
     def insert(self, tr: Translation) -> TLBEntry:
         """Install a translation, evicting the LRU entry when full."""
+        self._stamp += 1
         entry = TLBEntry(
             vbase=tr.page_base_vaddr,
             page_size=tr.page_size,
@@ -130,30 +130,52 @@ class TLB:
             writable=tr.writable,
             user=tr.user,
             nx=tr.nx,
-            lru_stamp=self._bump_stamp(),
+            lru_stamp=self._stamp,
         )
-        # Replace a stale entry for the same page if present.
-        for i, existing in enumerate(self._entries):
-            if existing.vbase == entry.vbase and existing.page_size == entry.page_size:
-                self._entries[i] = entry
-                return entry
-        if len(self._entries) >= self.capacity:
-            victim = min(range(len(self._entries)), key=lambda i: self._entries[i].lru_stamp)
-            del self._entries[victim]
-            self._c_evict.value += 1
-        self._entries.append(entry)
+        shift = tr.page_size.bit_length() - 1
+        key = entry.vbase >> shift
+        self._last = entry
+        pages = self._pages_of(shift)
+        if pages is not None and key in pages:
+            pages[key] = entry  # a stale entry for the same page: replace it
+            return entry
+        if self._count >= self.capacity:
+            self._evict_lru()
+            pages = self._pages_of(shift)  # the eviction may have emptied it
+        if pages is None:
+            pages = {}
+            self._resident.append((shift, pages))
+        pages[key] = entry
+        self._count += 1
         return entry
 
-    def flush(self) -> None:
-        self._entries.clear()
-        self._c_flush.value += 1
+    def _pages_of(self, shift: int) -> Optional[Dict[int, TLBEntry]]:
+        for s, pages in self._resident:
+            if s == shift:
+                return pages
+        return None
 
-    def flush_page(self, vaddr: int) -> None:
-        self._entries = [e for e in self._entries if not e.covers(vaddr)]
+    def _evict_lru(self) -> None:
+        victim_pages, victim_key, oldest = None, 0, None
+        for shift, pages in self._resident:
+            for key, e in pages.items():
+                if oldest is None or e.lru_stamp < oldest:
+                    victim_pages, victim_key, oldest = pages, key, e.lru_stamp
+        del victim_pages[victim_key]
+        self._count -= 1
+        self._c_evict.value += 1
+        if not victim_pages:
+            self._resident = [r for r in self._resident if r[1] is not victim_pages]
+
+    def flush(self) -> None:
+        self._resident = []
+        self._count = 0
+        self._last = None
+        self._c_flush.value += 1
 
     @property
     def occupancy(self) -> int:
-        return len(self._entries)
+        return self._count
 
     # -- physical routing (Fig. 3) -------------------------------------------
 

@@ -151,3 +151,80 @@ class TestMMIO:
         pm.write_u64(0x0, 5)
         assert pm.read_u64(0x0) == 5
         assert pm.read_u64(0x1000_0000) == 9
+
+
+class TestFrameIndex:
+    """PhysicalMemory's ``pfn -> page`` index: filled as RAM pages are
+    allocated, consulted before the region walk, and never a way
+    around a region's bounds or an MMIO handler."""
+
+    def test_page_first_touched_after_add_region_is_indexed(self, phys):
+        assert phys._frames == {}
+        phys.write_u64(0x5008, 0xABCD)
+        region = phys.region_by_name("dram")
+        assert phys._frames == {0x5: region._pages[0x5]}
+        assert phys.read_u64(0x5008) == 0xABCD
+        assert phys.read(0x5008, 2) == b"\xcd\xab"
+
+    def test_region_added_with_pages_already_touched(self):
+        region = MemoryRegion("late", 0x10_0000, 64 * KB)
+        region.write(0x10_2000, b"early")
+        pm = PhysicalMemory()
+        pm.add_region(region)
+        assert pm._frames == {0x102: region._pages[0x2]}
+        assert pm.read(0x10_2000, 5) == b"early"
+        # Writes through the index land in the region's own page.
+        pm.write(0x10_2000, b"E")
+        assert region.read(0x10_2000, 5) == b"Early"
+
+    def test_untouched_page_reads_zero_and_creates_no_frame(self, phys):
+        assert phys.read_u64(0xA_0000_0000 + 7 * MB) == 0
+        assert phys.read(0x7000, 16) == bytes(16)
+        assert phys._frames == {}
+        assert phys.region_by_name("nxp").touched_bytes == 0
+
+    def test_page_straddles_keep_bytes(self, phys):
+        phys.write(0x1FFC, bytes(range(1, 9)))  # 4 bytes in each page
+        assert set(phys._frames) == {0x1, 0x2}
+        assert phys.read(0x1FFC, 8) == bytes(range(1, 9))
+        assert phys.read_u64(0x1FFC) == int.from_bytes(bytes(range(1, 9)), "little")
+        assert phys.read(0x1FF8, 16) == bytes(4) + bytes(range(1, 9)) + bytes(4)
+
+    def test_region_straddles_still_raise(self, phys):
+        phys.write(16 * MB - 8, b"\x01" * 8)  # last page of "dram": indexed
+        assert (16 * MB >> 12) - 1 in phys._frames
+        with pytest.raises(BadAddress):
+            phys.read(16 * MB - 4, 8)
+        with pytest.raises(BadAddress):
+            phys.read_u64(16 * MB - 4)
+        with pytest.raises(BadAddress):
+            phys.write(16 * MB - 4, b"\x00" * 8)
+        assert phys.read(16 * MB - 8, 8) == b"\x01" * 8
+
+    def test_partial_last_page_is_not_indexed(self):
+        pm = PhysicalMemory()
+        region = MemoryRegion("odd", 0x0, 4 * KB + 100)
+        pm.add_region(region)
+        pm.write(4 * KB, b"x")  # inside the partial page
+        assert 0x1 not in pm._frames
+        assert pm.read(4 * KB, 1) == b"x"
+        # Bytes past the region's end stay undecoded, though their page
+        # is backed.
+        with pytest.raises(BadAddress):
+            pm.read(4 * KB + 100, 1)
+        with pytest.raises(BadAddress):
+            pm.write(4 * KB + 96, b"\x00" * 8)
+
+    def test_mmio_reaches_handlers_and_stays_out_of_the_index(self):
+        written = []
+        mmio = MMIORegion("regs", 0xC000_0000, 4 * KB)
+        mmio.register(0x10, read=lambda: 0x42, write=written.append)
+        pm = PhysicalMemory()
+        pm.add_region(MemoryRegion("ram", 0x0, 4 * KB))
+        pm.add_region(mmio)
+        pm.write_u64(0xC000_0010, 7)
+        pm.write(0xC000_0010, b"\x09")
+        assert written == [7, 9]
+        assert pm.read_u64(0xC000_0010) == 0x42
+        assert pm.read(0xC000_0010, 1) == b"\x42"
+        assert pm._frames == {}

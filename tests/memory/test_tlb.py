@@ -83,15 +83,6 @@ def test_flush_clears_everything():
     assert tlb.lookup(0x1000) is None
 
 
-def test_flush_page_is_selective():
-    tlb = TLB("t", entries=4)
-    tlb.insert(make_translation(0x1000, 0x1000))
-    tlb.insert(make_translation(0x2000, 0x2000))
-    tlb.flush_page(0x1000)
-    assert tlb.lookup(0x2000) is not None
-    assert tlb.lookup(0x1000) is None
-
-
 def test_stats_counting():
     stats = StatRegistry()
     tlb = TLB("itlb", entries=2, stats=stats)
