@@ -182,7 +182,6 @@ class FlickConfig:
     # speed without changing simulated time or stat counters; the parity
     # tests in tests/core/test_fastpath_parity.py hold them to that.
     decode_cache: bool = True          # PC-keyed decoded-instruction cache
-    translation_fast_path: bool = True  # flat page-granular host translations
     engine_fast_path: bool = True      # DES zero-delay now-queue
 
     # ---- tracing-JIT tier (docs/PERFORMANCE.md) ----------------------------

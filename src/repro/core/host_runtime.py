@@ -13,8 +13,11 @@ caller never knows the thread left.
 
 The handler is reentrant: a host function called *from* the NxP may
 itself call NxP functions; each nesting level is simply a deeper Python
-frame of ``_step_loop``/``migrate_call_to_nxp``, exactly as each level
-in the paper occupies a deeper stack frame of the real handler.
+frame of ``_run_host_code``/``migrate_call_to_nxp``, exactly as each
+level in the paper occupies a deeper stack frame of the real handler.
+Every level runs its host code through the one step loop
+(:func:`repro.core.step_loop.step_loop`), which hands back the NX fault
+that starts the next migration.
 
 :class:`HostMigrationHandler` is the protocol half, written once for
 both executors: the interpreted :class:`HostThread` below and the
@@ -35,16 +38,8 @@ from repro.core.descriptors import (
 )
 from repro.core.errors import WATCHDOG_EXPIRED, NxpDeadError
 from repro.core.ports import FallbackMemoryPort
-from repro.core.stubs import STUB_PCS, service_stub
-from repro.isa.base import IllegalInstruction, IsaFault, MisalignedFetch
-from repro.isa.interpreter import (
-    CostModel,
-    EnvCall,
-    Halted,
-    Interpreter,
-    ReturnToRuntime,
-)
-from repro.memory.paging import PageFault
+from repro.core.step_loop import Crossing, step_loop
+from repro.isa.interpreter import CostModel, Interpreter
 from repro.os.kernel import ProcessCrash, _ThreadExit
 from repro.os.loader import HOST_STACK_TOP
 from repro.os.task import Task, TaskState
@@ -403,7 +398,6 @@ class HostThread(HostMigrationHandler):
 
     def __init__(self, machine, task: Task, port):
         super().__init__(machine, task)
-        self.kernel = machine.kernel
         self.cpu = Interpreter(
             "hisa",
             self.sim,
@@ -432,7 +426,7 @@ class HostThread(HostMigrationHandler):
         self.machine.trace.begin("thread", pid=task.pid, target=entry)
         yield from self.cpu.setup_call(entry, args, sp=HOST_STACK_TOP - 64)
         try:
-            retval = yield from self._step_loop()
+            retval = yield from self._run_host_code()
         except _ThreadExit as exit_request:
             retval = exit_request.code
         finally:
@@ -447,60 +441,18 @@ class HostThread(HostMigrationHandler):
         self.machine.trace.end("thread", pid=task.pid)
         return retval
 
-    # -- the step loop (one per nesting level) ------------------------------------
+    # -- host code (one step loop per nesting level) -----------------------------
 
-    def _step_loop(self) -> Generator:
+    def _run_host_code(self) -> Generator:
+        """Run host code until the dispatched function returns, turning
+        each fetch of NxP code into a migration of the hijacked call."""
         cpu = self.cpu
-        step = cpu.step
-        stub_pcs = STUB_PCS
         while True:
-            if cpu.pc in stub_pcs:
-                yield from service_stub(self.machine, self.task, cpu)
-                continue
-            try:
-                yield from step(stub_pcs)
-            except PageFault as fault:
-                if fault.kind == PageFault.NX_VIOLATION and fault.is_exec:
-                    self.kernel.classify_exec_fault(self.task, fault, running_on="hisa")
-                    retval = yield from self.migrate_call_to_nxp(
-                        fault.vaddr, cpu.get_args(6)
-                    )
-                    yield from self._hijacked_return(retval)
-                elif (
-                    fault.kind == PageFault.NOT_PRESENT
-                    and self.task.process.lazy_heap is not None
-                    and self.task.process.lazy_heap.covers(fault.vaddr)
-                ):
-                    # Minor fault: demand-page the heap and retry the
-                    # instruction (same dispatcher as the NX migration
-                    # hook -- it is all one page-fault handler).
-                    yield from self.task.process.lazy_heap.service_fault(
-                        self.task, fault.vaddr
-                    )
-                else:
-                    raise ProcessCrash(
-                        self.task,
-                        f"unexpected host page fault at pc={cpu.pc:#x}: "
-                        f"{fault.access_kind} access to {fault.vaddr:#x} ({fault.kind})",
-                        pc=cpu.pc,
-                        fault=fault,
-                    )
-            except EnvCall:
-                code, value = cpu.get_args(2)
-                result = self.kernel.service_syscall(self.task, code, value)
-                cpu.regs.write(cpu.abi.ret_reg, result or 0)
-            except ReturnToRuntime as ret:
-                return ret.retval
-            except Halted:
-                return 0
-            except (MisalignedFetch, IllegalInstruction) as fault:
-                raise ProcessCrash(
-                    self.task, f"host fetch fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
-                )
-            except IsaFault as fault:
-                raise ProcessCrash(
-                    self.task, f"host fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
-                )
+            out = yield from step_loop(self.machine, self.task, cpu, on_host=True)
+            if type(out) is not Crossing:
+                return out
+            retval = yield from self.migrate_call_to_nxp(out.target, cpu.get_args(6))
+            yield from self._hijacked_return(retval)
 
     def _hijacked_return(self, retval: int) -> Generator:
         """Return from the hijacked call site as if it ran locally."""
@@ -513,24 +465,24 @@ class HostThread(HostMigrationHandler):
     def _call_host_function(self, target: int, args: List[int]) -> Generator:
         yield self.sim.timeout(self.cfg.host_call_dispatch_ns)
         yield from self.cpu.setup_call(target, list(args))  # keep current stack
-        return (yield from self._step_loop())
+        return (yield from self._run_host_code())
 
     # -- degraded mode: host-side NISA emulation ----------------------------------
 
     def _run_fallback_body(self, target: int, args: List[int]) -> Generator:
-        """The host-side counterpart of the NxP core's run loop
-        (``NxpPlatform._execute``).
+        """The host-side counterpart of the NxP core's residency
+        (``NxpPlatform._execute``), over the same step loop.
 
         A second interpreter over a :class:`FallbackMemoryPort` (inverted
         NX sense, like the NxP MMU) emulates the callee; NxP-resident
         data (BRAM stack, BAR0 windows) is reached over PCIe, adding the
-        natural placement penalty on top.  A fetch that faults under the
-        inverted NX sense (or misaligns / fails to decode) is NISA code
-        calling back into host code; where the live NxP would emit a
-        call-migration descriptor, the emulator just runs the host
-        function *inline* on this thread's real host interpreter, then
-        replays the NxP's return dispatch (pc <- ra, retval in a0) on
-        the emulated register file.
+        natural placement penalty on top.  A crossing (a fetch that
+        faults under the inverted NX sense, misaligns or fails to
+        decode) is NISA code calling back into host code; where the live
+        NxP would emit a call-migration descriptor, the emulator just
+        runs the host function *inline* on this thread's real host
+        interpreter, then replays the NxP's return dispatch (pc <- ra,
+        retval in a0) on the emulated register file.
         """
         task = self.task
         machine = self.machine
@@ -560,56 +512,12 @@ class HostThread(HostMigrationHandler):
             )
         fcpu = self._fallback_cpu
         yield from fcpu.setup_call(target, list(args), sp=task.nxp_sp)
-        stub_pcs = STUB_PCS
         while True:
-            if fcpu.pc in stub_pcs:
-                yield from service_stub(machine, task, fcpu)
-                continue
-            try:
-                yield from fcpu.step(stub_pcs)
-            except ReturnToRuntime as ret:
+            out = yield from step_loop(machine, task, fcpu, on_host=True)
+            if type(out) is not Crossing:
                 task.nxp_sp = fcpu.sp
-                return ret.retval
-            except PageFault as fault:
-                if fault.kind == PageFault.NX_VIOLATION and fault.is_exec:
-                    self.kernel.classify_exec_fault(task, fault, running_on="nisa")
-                    yield from self._fallback_host_call(fault.vaddr)
-                    continue
-                if (
-                    fault.kind == PageFault.NOT_PRESENT
-                    and task.process.lazy_heap is not None
-                    and task.process.lazy_heap.covers(fault.vaddr)
-                ):
-                    yield from task.process.lazy_heap.service_fault(task, fault.vaddr)
-                    continue
-                raise ProcessCrash(
-                    task,
-                    f"fallback page fault at pc={fcpu.pc:#x}: "
-                    f"{fault.access_kind} access to {fault.vaddr:#x} ({fault.kind})",
-                    pc=fcpu.pc,
-                    fault=fault,
-                )
-            except MisalignedFetch as fault:
-                self.kernel.classify_exec_fault(
-                    task, PageFault(fault.pc, PageFault.NX_VIOLATION, is_exec=True), "nisa"
-                )
-                yield from self._fallback_host_call(fault.pc)
-            except IllegalInstruction as fault:
-                self.kernel.classify_exec_fault(
-                    task, PageFault(fault.pc, PageFault.NX_VIOLATION, is_exec=True), "nisa"
-                )
-                yield from self._fallback_host_call(fault.pc)
-            except EnvCall:
-                code, value = fcpu.get_args(2)
-                result = self.kernel.service_syscall(task, code, value)
-                fcpu.regs.write(fcpu.abi.ret_reg, result or 0)
-            except Halted:
-                task.nxp_sp = fcpu.sp
-                return 0
-            except IsaFault as fault:
-                raise ProcessCrash(
-                    task, f"fallback fault at pc={fcpu.pc:#x}: {fault}", pc=fcpu.pc
-                )
+                return out
+            yield from self._fallback_host_call(out.target)
 
     def _fallback_host_call(self, target: int) -> Generator:
         """Nested HISA call out of emulated NISA code, executed inline."""

@@ -373,9 +373,7 @@ class HostedMachine:
         self.machine.kernel.register_process(self.process)
         for fn in program.functions.values():
             self.process.add_exec_range(fn.addr, 0x1000, fn.isa)
-        self._tcache = TranslationCache(
-            self.process.page_tables, fast=self.cfg.translation_fast_path
-        )
+        self._tcache = TranslationCache(self.process.page_tables)
         # NxP-side translation state: a real TLB object with analytic
         # walk costs (so huge-page behaviour and the 16-entry capacity
         # are preserved without per-access DES events).

@@ -6,7 +6,10 @@ status register, and for every inbound descriptor either *calls* the
 requested function on a thread's NxP stack, or *resumes* a thread that
 was suspended mid-migration.
 
-Outbound migrations mirror Listing 2:
+Outbound migrations mirror Listing 2.  A residency runs the thread
+through the one step loop every core shares
+(:func:`repro.core.step_loop.step_loop`), and its exit picks the
+migration:
 
 * a NISA function finishing -> **return migration** (NxP-to-host return
   descriptor, DMA, host interrupt);
@@ -40,17 +43,10 @@ from repro.core.descriptors import (
 )
 from repro.core.errors import DescriptorCorrupt
 from repro.core.ports import NxpMemoryPort
-from repro.core.stubs import STUB_PCS, service_stub
-from repro.isa.base import IllegalInstruction, IsaFault, MisalignedFetch
-from repro.isa.interpreter import (
-    CostModel,
-    EnvCall,
-    Halted,
-    Interpreter,
-    ReturnToRuntime,
-)
+from repro.core.step_loop import Crossing, step_loop
+from repro.isa.interpreter import CostModel, Interpreter
 from repro.memory.mmu import PageWalker
-from repro.memory.paging import PageFault, PageTables
+from repro.memory.paging import PageTables
 from repro.os.kernel import ProcessCrash
 from repro.os.task import CpuContext, Task
 from repro.sim.engine import Event
@@ -320,56 +316,11 @@ class NxpPlatform(NxpMigrationHandler):
             # return value in a0.
             cpu.pc = cpu.regs.read(cpu.abi.link_reg)
             cpu.regs.write(cpu.abi.ret_reg, desc.retval)
-        # Execution until the thread leaves the NxP, inline (not a nested
-        # generator) so no extra frame sits on every instruction's resume.
-        step = cpu.step
-        stub_pcs = STUB_PCS
-        while True:
-            if cpu.pc in stub_pcs:
-                yield from service_stub(self.machine, task, cpu)
-                continue
-            try:
-                yield from step(stub_pcs)
-            except ReturnToRuntime as ret:
-                yield from self._return_migration(task, ret.retval)
-                return
-            except PageFault as fault:
-                if fault.kind == PageFault.NX_VIOLATION and fault.is_exec:
-                    self.machine.kernel.classify_exec_fault(task, fault, running_on="nisa")
-                    yield from self._call_migration(task, fault.vaddr, trigger="nx")
-                    return
-                raise ProcessCrash(
-                    task,
-                    f"unexpected nxp page fault at pc={cpu.pc:#x}: "
-                    f"{fault.access_kind} access to {fault.vaddr:#x} ({fault.kind})",
-                    pc=cpu.pc,
-                    fault=fault,
-                )
-            except MisalignedFetch as fault:
-                # Variable-length HISA code rarely sits 8-aligned: treat
-                # as a migration request if it points at host text.
-                self.machine.kernel.classify_exec_fault(
-                    task, PageFault(fault.pc, PageFault.NX_VIOLATION, is_exec=True), "nisa"
-                )
-                yield from self._call_migration(task, fault.pc, trigger="misaligned")
-                return
-            except IllegalInstruction as fault:
-                self.machine.kernel.classify_exec_fault(
-                    task, PageFault(fault.pc, PageFault.NX_VIOLATION, is_exec=True), "nisa"
-                )
-                yield from self._call_migration(task, fault.pc, trigger="illegal")
-                return
-            except EnvCall:
-                code, value = cpu.get_args(2)
-                result = self.machine.kernel.service_syscall(task, code, value)
-                cpu.regs.write(cpu.abi.ret_reg, result or 0)
-            except Halted:
-                yield from self._return_migration(task, 0)
-                return
-            except IsaFault as fault:
-                raise ProcessCrash(
-                    task, f"nxp fault at pc={cpu.pc:#x}: {fault}", pc=cpu.pc
-                )
+        out = yield from step_loop(self.machine, task, cpu, on_host=False)
+        if type(out) is Crossing:
+            yield from self._call_migration(task, out.target, out.trigger)
+        else:
+            yield from self._return_migration(task, out)
 
     def _switch_address_space(self, task: Task, cr3: int) -> None:
         tables = task.process.page_tables

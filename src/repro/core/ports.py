@@ -28,7 +28,7 @@ from repro.core.config import FlickConfig
 from repro.interconnect.pcie import PCIeLink
 from repro.memory.cache import Cache, CacheableFilter
 from repro.memory.mmu import PageWalker
-from repro.memory.paging import PageFault, PageTables, Translation
+from repro.memory.paging import PageFault, PageTables
 from repro.memory.physical import PhysicalMemory
 from repro.memory.tlb import TLB
 from repro.sim.engine import Simulator
@@ -39,71 +39,34 @@ __all__ = ["HostMemoryPort", "FallbackMemoryPort", "NxpMemoryPort", "Translation
 
 class TranslationCache:
     """A software-side memo of recent translations (models the host's
-    hardware TLB being effectively free at our timescale).  Invalidated
-    whenever the page tables change (generation counter).
+    hardware TLB being effectively free at our timescale).
 
-    With ``fast`` (default), :meth:`entry` serves hits from one flat
-    dict keyed by the 4 KB frame number.  Each value is a reusable
-    ``(paddr - vaddr, writable, nx)`` tuple, so a hit is a single probe
-    with zero allocation — huge pages simply populate one flat entry per
-    4 KB frame actually touched.  With ``fast=False`` every lookup goes
-    through the legacy coarsest-first 3-probe path.  Neither path yields
-    or counts stats, so the toggle cannot affect simulated results.
+    One flat dict keyed by the 4 KB frame number holds a reusable
+    ``(paddr - vaddr, writable, nx)`` tuple per frame, so a hit is a
+    single probe with zero allocation; huge pages simply populate one
+    entry per 4 KB frame actually touched.  The memo is dropped whenever
+    the page tables change (generation counter).  It neither yields nor
+    counts stats; :meth:`PageTables.translate` is its reference
+    (``tests/core/test_ports.py`` holds the two equal).
     """
 
-    def __init__(self, tables: PageTables, fast: bool = True):
+    def __init__(self, tables: PageTables):
         self.tables = tables
-        self.fast = fast
-        self._cache: Dict[int, Translation] = {}
         self._flat: Dict[int, Tuple[int, bool, bool]] = {}
         self._generation = tables.generation
 
-    def _sync(self) -> None:
-        if self._generation != self.tables.generation:
-            self._cache.clear()
-            self._flat.clear()
-            self._generation = self.tables.generation
-
     def entry(self, vaddr: int) -> Tuple[int, bool, bool]:
         """Return ``(paddr - vaddr, writable, nx)`` for the page holding
-        ``vaddr`` — the allocation-free hot path used by the ports."""
+        ``vaddr``, or raise the walk's :class:`PageFault`."""
         if self._generation != self.tables.generation:
-            self._cache.clear()
             self._flat.clear()
             self._generation = self.tables.generation
-        if self.fast:
-            key = vaddr >> 12
-            e = self._flat.get(key)
-            if e is None:
-                tr = self.tables.translate(vaddr)
-                e = (tr.paddr - vaddr, tr.writable, tr.nx)
-                self._flat[key] = e
-            return e
-        tr = self._probe(vaddr)
-        return (tr.paddr - vaddr, tr.writable, tr.nx)
-
-    def translate(self, vaddr: int) -> Translation:
-        self._sync()
-        return self._probe(vaddr)
-
-    def _probe(self, vaddr: int) -> Translation:
-        # Probe coarsest-first so huge pages hit with one lookup.
-        for bits in (30, 21, 12):
-            key = vaddr >> bits
-            tr = self._cache.get((bits << 56) | key)
-            if tr is not None and tr.page_base_vaddr <= vaddr < tr.page_base_vaddr + tr.page_size:
-                return Translation(
-                    vaddr=vaddr,
-                    paddr=tr.page_base_paddr | (vaddr - tr.page_base_vaddr),
-                    page_size=tr.page_size,
-                    writable=tr.writable,
-                    user=tr.user,
-                    nx=tr.nx,
-                )
-        tr = self.tables.translate(vaddr)
-        bits = {1 << 30: 30, 1 << 21: 21, 1 << 12: 12}[tr.page_size]
-        self._cache[(bits << 56) | (vaddr >> bits)] = tr
-        return tr
+        key = vaddr >> 12
+        e = self._flat.get(key)
+        if e is None:
+            tr = self.tables.translate(vaddr)
+            e = self._flat[key] = (tr.paddr - vaddr, tr.writable, tr.nx)
+        return e
 
 
 class HostMemoryPort:
@@ -130,7 +93,7 @@ class HostMemoryPort:
         self.tables = tables
         self.mm = cfg.memory_map
         self.stats = stats or StatRegistry()
-        self.tcache = TranslationCache(tables, fast=cfg.translation_fast_path)
+        self.tcache = TranslationCache(tables)
         self._c_load = self.stats.counter("host.load")
         self._c_load_pcie = self.stats.counter("host.load_pcie")
         self._c_store = self.stats.counter("host.store")
@@ -156,21 +119,12 @@ class HostMemoryPort:
         return self.phys.read(vaddr + delta, nbytes)
         yield  # a port generator like the others; the host I-fetch is free
 
-    def fetch_check(self, vaddr: int, nbytes: int) -> Generator:
-        """Charge exactly what :meth:`fetch` charges — same faults, same
-        timed yields, same stats — without reading the bytes.  Used by
-        the decoded-instruction cache to keep fetch timing and NX
-        semantics bit-identical while skipping re-decode."""
-        self.fetch_check_sync(vaddr, nbytes)
-        return
-        yield
-
-    def fetch_check_sync(self, vaddr: int, nbytes: int) -> bool:
-        """Synchronous :meth:`fetch_check`: the host I-fetch charges no
-        simulated time, so the full check always completes here (True)."""
+    def fetch_check(self, vaddr: int, nbytes: int) -> None:
+        """:meth:`fetch` without the bytes, for the decoded-instruction
+        cache: the same NX fault, and nothing to charge (the host I-fetch
+        is free)."""
         if self.tcache.entry(vaddr)[2] != self.exec_nx_sense:
             raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
-        return True
 
     def load(self, vaddr: int, nbytes: int) -> Generator:
         delta, _writable, _nx = self.tcache.entry(vaddr)
@@ -311,35 +265,17 @@ class NxpMemoryPort:
         if self.icache.access(paddr):
             if not self._advance(self._pause_icache_hit.delay):
                 yield self._pause_icache_hit
-            return self.phys.read(paddr, nbytes)
-        # I-cache miss: line fill from wherever the code lives (host DRAM
-        # for both ISAs' text, per the placement policy).
-        line = self.cfg.nxp_icache_line_bytes
-        line_base = paddr & ~(line - 1)
-        yield from self.link.read(line_base, line, service_ns=self.cfg.host_dram_ns)
+        else:
+            yield from self._line_fill(paddr)
         return self.phys.read(paddr, nbytes)
 
-    def fetch_check(self, vaddr: int, nbytes: int) -> Generator:
-        """Replay :meth:`fetch`'s exact timing, faults and stats (TLB,
-        walker, I-cache, line fill) without returning the bytes; the
-        decoded-instruction cache's re-decode bypass."""
-        entry = yield from self._translate(self.itlb, vaddr, is_exec=True)
-        paddr = entry.paddr_for(vaddr)
-        self._c_fetch.value += 1
-        if self.icache.access(paddr):
-            if not self._advance(self._pause_icache_hit.delay):
-                yield self._pause_icache_hit
-            return
-        line = self.cfg.nxp_icache_line_bytes
-        line_base = paddr & ~(line - 1)
-        yield from self.link.read(line_base, line, service_ns=self.cfg.host_dram_ns)
+    def fetch_check(self, vaddr: int, nbytes: int):
+        """:meth:`fetch` without the bytes, for the decoded-instruction
+        cache: the same faults, stats and simulated time.
 
-    def fetch_check_fast(self, vaddr: int, nbytes: int):
-        """:meth:`fetch_check` minus the generator overhead for the
-        ITLB-hit + I-cache-hit case: all bookkeeping happens here,
+        The common I-TLB-hit + I-cache-hit case is settled here,
         synchronously, and the caller receives the ``(tlb, icache)``
-        pause pair to charge — one event each, the exact delays
-        :meth:`fetch_check` would charge.  Any other case returns a
+        pause pair to charge, one event each.  Any other case returns a
         generator that finishes the check (the probes already done are
         not repeated, so counters stay single-counted).
 
@@ -349,21 +285,21 @@ class NxpMemoryPort:
         """
         entry = self.itlb.lookup(vaddr)
         if entry is None:
-            return self._fetch_check_walk(vaddr)
+            return self._check_after_walk(vaddr)
         if not entry.nx:
             # Inverted NX sense (host-ISA pages fault on the NxP); the
             # fault must fire *after* the TLB-hit latency, as in
             # _translate, so it is raised from a timed continuation.
-            return self._fetch_check_nx_fault(vaddr)
+            return self._nx_fault_after_hit(vaddr)
         paddr = entry.paddr_for(vaddr)
         self._c_fetch.value += 1
         if self.icache.access(paddr):
             return (self._pause_tlb_hit, self._pause_icache_hit)
-        return self._fetch_check_fill(paddr)
+        return self.fill_after_hit(paddr)
 
-    def _fetch_check_walk(self, vaddr: int) -> Generator:
-        # ITLB miss (already counted by the probe): walk, insert, then
-        # the tail of fetch_check.
+    def _check_after_walk(self, vaddr: int) -> Generator:
+        # I-TLB miss (already counted by the probe): walk, insert, then
+        # the rest of fetch minus the read.
         tr = yield from self.walker.walk(vaddr)
         entry = self.itlb.insert(tr)
         if not entry.nx:
@@ -373,37 +309,42 @@ class NxpMemoryPort:
         if self.icache.access(paddr):
             if not self._advance(self._pause_icache_hit.delay):
                 yield self._pause_icache_hit
-            return
-        line = self.cfg.nxp_icache_line_bytes
-        line_base = paddr & ~(line - 1)
-        yield from self.link.read(line_base, line, service_ns=self.cfg.host_dram_ns)
+        else:
+            yield from self._line_fill(paddr)
 
-    def _fetch_check_nx_fault(self, vaddr: int) -> Generator:
+    def _nx_fault_after_hit(self, vaddr: int) -> Generator:
         if not self._advance(self._pause_tlb_hit.delay):
             yield self._pause_tlb_hit
         raise PageFault(vaddr, PageFault.NX_VIOLATION, is_exec=True)
 
-    def _fetch_check_fill(self, paddr: int) -> Generator:
-        # ITLB hit, I-cache miss (both already recorded): charge the
-        # TLB-hit latency, then the line fill.
+    def fill_after_hit(self, paddr: int) -> Generator:
+        """The rest of a fetch whose I-TLB hit and I-cache miss are
+        already recorded: the TLB-hit latency, then the line fill.  The
+        JIT's I-fetch replay ends here on an I-cache miss too."""
         if not self._advance(self._pause_tlb_hit.delay):
             yield self._pause_tlb_hit
+        yield from self._line_fill(paddr)
+
+    def _line_fill(self, paddr: int) -> Generator:
+        # I-cache line fill from wherever the code lives (host DRAM for
+        # both ISAs' text, per the placement policy).
         line = self.cfg.nxp_icache_line_bytes
-        line_base = paddr & ~(line - 1)
-        yield from self.link.read(line_base, line, service_ns=self.cfg.host_dram_ns)
+        return self.link.read(paddr & ~(line - 1), line, service_ns=self.cfg.host_dram_ns)
 
     def load(self, vaddr: int, nbytes: int) -> Generator:
         entry = yield from self._translate(self.dtlb, vaddr, is_exec=False)
         paddr = entry.paddr_for(vaddr)
-        route, local_paddr = self.dtlb.route(paddr)
         self._c_load.value += 1
         if self.mm.bram_contains(paddr):
             if not self._advance(self._pause_bram.delay):
                 yield self._pause_bram
             return self.phys.read(paddr, nbytes)
-        if route == "local":
-            # Cacheable windows are registered in host-view (BAR)
-            # addresses, the canonical physical space of this model.
+        remap = self.dtlb.remap
+        if remap.bar_base <= paddr < remap.bar_base + remap.size:
+            # The D-TLB's BAR-remap window captures the access, so it
+            # stays on the NxP platform (Fig. 3).  Cacheable windows are
+            # registered in host-view (BAR) addresses, the canonical
+            # physical space of this model.
             if self.cacheable.cacheable(paddr) and self.dcache.access(paddr):
                 pause = self._pause_icache_hit
             else:
@@ -422,7 +363,6 @@ class NxpMemoryPort:
         if not entry.writable:
             raise PageFault(vaddr, PageFault.WRITE_PROTECT, is_write=True)
         paddr = entry.paddr_for(vaddr)
-        route, local_paddr = self.dtlb.route(paddr)
         self._c_store.value += 1
         if self.tables_provider is not None:
             tables = self.tables_provider()
@@ -433,7 +373,8 @@ class NxpMemoryPort:
                 yield self._pause_bram
             self.phys.write(paddr, data)
             return
-        if route == "local":
+        remap = self.dtlb.remap
+        if remap.bar_base <= paddr < remap.bar_base + remap.size:
             if self.cacheable.cacheable(paddr):
                 self.dcache.invalidate_range(paddr, len(data))
             if not self._advance(self._pause_local_write.delay):

@@ -28,8 +28,8 @@ STUB_SYMBOLS: Dict[str, int] = {
 }
 _BY_ADDR = {addr: name for name, addr in STUB_SYMBOLS.items()}
 
-#: The stub PCs as a set — step loops test membership per instruction,
-#: so they hoist this into a local instead of calling :func:`is_stub`.
+#: The stub PCs as a set — the step loop tests membership per resume,
+#: so it hoists this into a local instead of calling :func:`is_stub`.
 STUB_PCS = frozenset(_BY_ADDR)
 
 

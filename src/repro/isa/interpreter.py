@@ -58,9 +58,10 @@ class MemoryPort(Protocol):
     """Timed memory interface a core executes against.
 
     Ports may additionally expose the decoded-instruction-cache contract:
-    a ``fetch_check(vaddr, nbytes)`` generator charging exactly what
-    ``fetch`` charges (same timed yields, same faults, same stats)
-    without returning bytes, and a ``code_generation`` attribute that
+    a synchronous ``fetch_check(vaddr, nbytes)`` that does what ``fetch``
+    does minus returning the bytes (same faults, same stats) and returns
+    what is left to charge: ``None``, a pair of pauses, or a generator
+    that finishes the check; and a ``code_generation`` attribute that
     changes whenever code reachable through the port may have changed.
     Ports without both simply run uncached (e.g. the tests' FlatPort).
     """
@@ -126,8 +127,10 @@ class CostModel:
 
 class DecodeCache(dict):
     """Decoded instructions of one address space for one interpreter
-    kind: ``pc -> (inst, length, two_part, pause, is_mem)``, valid while
-    the code generation equals :attr:`gen`.
+    kind: ``pc -> (inst, length, spans, pause, is_mem)``, valid while
+    the code generation equals :attr:`gen`.  ``spans`` holds the
+    ``(offset from pc, nbytes)`` of each fetch the decode made, for the
+    port's ``fetch_check`` to replay (see :data:`_FETCH_SPANS`).
 
     An address space keeps one per :attr:`Interpreter.decode_key`, and
     every core running it (each host thread, the NxP while the space is
@@ -140,6 +143,14 @@ class DecodeCache(dict):
     def __init__(self):
         super().__init__()
         self.gen: Optional[int] = None
+
+
+#: The fetches a decode makes, as ``(offset from pc, nbytes)`` spans,
+#: keyed by ``(length, two_part)``: one fetch of the whole instruction,
+#: or a HISA head byte and then its trailing bytes.  Instructions are at
+#: most 10 bytes long; decoded instructions of one shape share a tuple.
+_FETCH_SPANS = {(n, False): ((0, n),) for n in range(1, 11)}
+_FETCH_SPANS.update({(n, True): ((0, 1), (1, n - 1)) for n in range(2, 11)})
 
 
 def _truncdiv(a: int, b: int) -> int:
@@ -196,12 +207,6 @@ class Interpreter:
         self._decode: Optional[DecodeCache] = None
         if decode_cache and hasattr(port, "fetch_check"):
             self._decode = self._decode_cache_in(decode_caches)
-        self._fetch_check_sync = (
-            getattr(port, "fetch_check_sync", None) if self._decode is not None else None
-        )
-        self._fetch_check_fast = (
-            getattr(port, "fetch_check_fast", None) if self._decode is not None else None
-        )
         # Ops whose execution yields (memory traffic) on this ISA; the
         # rest run through the synchronous path without a generator.
         mem_ops = set(self._SIZED_LOADS) | set(self._SIZED_STORES)
@@ -313,8 +318,7 @@ class Interpreter:
         jit = self._jit
         advance = self.sim.advance
         counter = self._inst_counter
-        fetch_check_sync = self._fetch_check_sync
-        fetch_check_fast = self._fetch_check_fast
+        fetch_check = getattr(port, "fetch_check", None)
         while True:
             pc = self.pc
             if pc == RUNTIME_RETURN_ADDR:
@@ -351,38 +355,23 @@ class Interpreter:
                     cached = decoded.get(pc)
 
             if cached is not None:
-                inst, length, two_part, pause, is_mem = cached
-                if fetch_check_sync is not None and fetch_check_sync(
-                    pc, 1 if two_part else length
-                ):
-                    # Fully checked with no simulated time due: skip the
-                    # generator machinery (a False return did nothing,
-                    # so the fallback below replays the check from
-                    # scratch).
-                    if two_part:
-                        fetch_check_sync(pc + 1, length - 1)
-                elif two_part:
-                    yield from port.fetch_check(pc, 1)
-                    yield from port.fetch_check(pc + 1, length - 1)
-                elif fetch_check_fast is not None:
-                    # The port resolved the common hit/hit case without
-                    # a generator and handed back the pauses to charge.
-                    r = fetch_check_fast(pc, length)
-                    if type(r) is tuple:
-                        tlb_hit, icache_hit = r
-                        if not advance(tlb_hit.delay):
-                            yield tlb_hit
-                        if not advance(icache_hit.delay):
-                            yield icache_hit
-                    else:
-                        yield from r
-                else:
-                    yield from port.fetch_check(pc, length)
+                inst, length, spans, pause, is_mem = cached
+                for offset, nbytes in spans:
+                    due = fetch_check(pc + offset, nbytes)
+                    if due is not None:
+                        if type(due) is tuple:
+                            tlb_hit, icache_hit = due
+                            if not advance(tlb_hit.delay):
+                                yield tlb_hit
+                            if not advance(icache_hit.delay):
+                                yield icache_hit
+                        else:
+                            yield from due
             else:
                 if self.isa == "nisa":
                     raw = yield from port.fetch(pc, nisa.INST_BYTES)
                     inst, length = nisa.decode(raw, pc)
-                    two_part = False
+                    spans = _FETCH_SPANS[length, False]
                 else:
                     head = yield from port.fetch(pc, 1)
                     length = hisa._LEN_BY_OPCODE.get(head[0])
@@ -392,21 +381,21 @@ class Interpreter:
                         raise IllegalInstruction(pc, head[0])
                     if length == 1:
                         raw = head
-                        two_part = False
+                        spans = _FETCH_SPANS[1, False]
                     else:
                         # Trailing bytes are instruction bytes: route
                         # them through the fetch path (not the data-load
                         # path) so fetch/load stats and NX semantics
                         # stay truthful.
                         raw = head + (yield from port.fetch(pc + 1, length - 1))
-                        two_part = True
+                        spans = _FETCH_SPANS[length, True]
                     inst, length = hisa.decode(raw, pc)
                 pause = self.sim.timeout(self.cost.cost_ns(inst.op))
                 is_mem = inst.op in self._gen_ops
                 # Insert only if no store/remap invalidated the code
                 # while the fetch was suspended mid-flight.
                 if gen is not None and port.code_generation == gen:
-                    decoded[pc] = (inst, length, two_part, pause, is_mem)
+                    decoded[pc] = (inst, length, spans, pause, is_mem)
 
             counter.value += 1
             if not advance(pause.delay):

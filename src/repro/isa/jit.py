@@ -551,8 +551,10 @@ class JitEngine:
         every loop boundary and after every store) proves those checks
         still pass, and the host charges no I-fetch time.
 
-        Every flush settles the instruction counters, credits the
-        collapsed pauses and sleeps to the accumulated time ``t``.
+        Every flush (:meth:`_flush`) settles the instruction counters,
+        credits the collapsed pauses and sleeps to the accumulated time
+        ``t``; there is one per loop iteration or slow route, not one
+        per instruction.
         """
         itp = self.itp
         sim = itp.sim
@@ -577,8 +579,8 @@ class JitEngine:
             local_write_ns = cfg.nxp_to_local_write_ns
             bram_lo = port.mm.nxp_bram_base
             bram_hi = bram_lo + port.mm.nxp_bram_size
-            # The D-TLB's BAR-remap window (TLB.route's "local" test);
-            # an unprogrammed register captures nothing.
+            # The D-TLB's BAR-remap window (the port's local route); an
+            # unprogrammed register captures nothing.
             remap = dtlb.remap
             remap_lo = remap.bar_base
             remap_hi = remap_lo + remap.size if remap.size > 0 else remap_lo
@@ -592,11 +594,6 @@ class JitEngine:
         c_load = port._c_load
         c_store = port._c_store
         rwrite = itp.regs.write
-        counter = itp._inst_counter
-        c_block_inst = self._c_inst
-        c_block_ns = self._c_sim_ns
-        sleep_until = sim.sleep_until
-        advance_to = sim.advance_to
         ops = block.ops
         nops = len(ops)
         gen = block.gen
@@ -621,14 +618,10 @@ class JitEngine:
                 fetched = itlb.probe(pc_i)
                 if fetched is None or not fetched.nx:
                     itp.pc = pc_i
-                    counter.value += n
-                    c_block_inst.value += n
-                    c_block_ns.value += t - t0
                     self._note_bail("itlb")
-                    if pauses:
-                        sim.credit_events(pauses - 1)
-                        if not advance_to(t):
-                            yield sleep_until(t)
+                    wake = self._flush(n, pauses, t, t0)
+                    if wake is not None:
+                        yield wake
                     return
                 itlb.touch(fetched)  # counted hit + LRU, as fetch would
                 paddr = fetched.pbase | (pc_i - fetched.vbase)
@@ -640,16 +633,11 @@ class JitEngine:
                 else:
                     # I-cache miss: flush, then the port's own fill path
                     # (TLB-hit pause + cross-PCIe line fill, all real events).
-                    counter.value += n
-                    c_block_inst.value += n
-                    c_block_ns.value += t - t0
-                    n = 0
-                    if pauses:
-                        sim.credit_events(pauses - 1)
-                        if not advance_to(t):
-                            yield sleep_until(t)
-                        pauses = 0
-                    yield from port._fetch_check_fill(paddr)
+                    wake = self._flush(n, pauses, t, t0)
+                    if wake is not None:
+                        yield wake
+                    n = pauses = 0
+                    yield from port.fill_after_hit(paddr)
                     t0 = t = sim.now
             t += cost
             pauses += 1
@@ -661,13 +649,10 @@ class JitEngine:
                         fn()
                     except BaseException:
                         itp.pc = pc_i
-                        counter.value += n
-                        c_block_inst.value += n
-                        c_block_ns.value += t - t0
                         self._note_bail("fault")
-                        sim.credit_events(pauses - 1)
-                        if not advance_to(t):
-                            yield sleep_until(t)
+                        wake = self._flush(n, pauses, t, t0)
+                        if wake is not None:
+                            yield wake
                         raise
                 i += 1
             elif kind == K_GUARD:
@@ -676,14 +661,10 @@ class JitEngine:
                     if idx >= 0:
                         i = idx
                     elif idx == LOOP_RESTART:
-                        counter.value += n
-                        c_block_inst.value += n
-                        c_block_ns.value += t - t0
-                        n = 0
-                        sim.credit_events(pauses - 1)
-                        if not advance_to(t):
-                            yield sleep_until(t)
-                        pauses = 0
+                        wake = self._flush(n, pauses, t, t0)
+                        if wake is not None:
+                            yield wake
+                        n = pauses = 0
                         t0 = t = sim.now
                         if port.code_generation != gen:
                             itp.pc = entry
@@ -728,14 +709,10 @@ class JitEngine:
                 # the whole access to the port (walker, link contention
                 # and any page fault are real, at a precise pc).
                 itp.pc = pc_i
-                counter.value += n
-                c_block_inst.value += n
-                c_block_ns.value += t - t0
-                n = 0
-                sim.credit_events(pauses - 1)
-                if not advance_to(t):
-                    yield sleep_until(t)
-                pauses = 0
+                wake = self._flush(n, pauses, t, t0)
+                if wake is not None:
+                    yield wake
+                n = pauses = 0
                 data = yield from port.load(addr, size)
                 rwrite(op[5], int.from_bytes(data, "little"))
                 t0 = t = sim.now
@@ -776,14 +753,10 @@ class JitEngine:
                 # port.store counts, pauses and faults exactly as the
                 # interpreter's slow path would.
                 itp.pc = pc_i
-                counter.value += n
-                c_block_inst.value += n
-                c_block_ns.value += t - t0
-                n = 0
-                sim.credit_events(pauses - 1)
-                if not advance_to(t):
-                    yield sleep_until(t)
-                pauses = 0
+                wake = self._flush(n, pauses, t, t0)
+                if wake is not None:
+                    yield wake
+                n = pauses = 0
                 yield from port.store(addr, op[5]().to_bytes(size, "little"))
                 t0 = t = sim.now
                 if port.code_generation != gen:
@@ -808,14 +781,10 @@ class JitEngine:
                     # delegate the whole access to the port (the fault
                     # and the link traffic are real, at a precise pc).
                     itp.pc = pc_i
-                    counter.value += n
-                    c_block_inst.value += n
-                    c_block_ns.value += t - t0
-                    n = 0
-                    sim.credit_events(pauses - 1)
-                    if not advance_to(t):
-                        yield sleep_until(t)
-                    pauses = 0
+                    wake = self._flush(n, pauses, t, t0)
+                    if wake is not None:
+                        yield wake
+                    n = pauses = 0
                     try:
                         data = yield from port.load(addr, size)
                     except PageFault:
@@ -845,14 +814,10 @@ class JitEngine:
                     # flush, delegate; port.store counts, pauses and
                     # faults exactly as the interpreter's slow path would.
                     itp.pc = pc_i
-                    counter.value += n
-                    c_block_inst.value += n
-                    c_block_ns.value += t - t0
-                    n = 0
-                    sim.credit_events(pauses - 1)
-                    if not advance_to(t):
-                        yield sleep_until(t)
-                    pauses = 0
+                    wake = self._flush(n, pauses, t, t0)
+                    if wake is not None:
+                        yield wake
+                    n = pauses = 0
                     try:
                         yield from port.store(addr, op[5]().to_bytes(size, "little"))
                     except PageFault:
@@ -872,15 +837,10 @@ class JitEngine:
                     # undo the blanket per-op charge applied above.
                     pauses -= 1
                     n -= 1
-                counter.value += n
-                c_block_inst.value += n
-                c_block_ns.value += t - t0
-                n = 0
-                if pauses:
-                    sim.credit_events(pauses - 1)
-                    if not advance_to(t):
-                        yield sleep_until(t)
-                    pauses = 0
+                wake = self._flush(n, pauses, t, t0)
+                if wake is not None:
+                    yield wake
+                n = pauses = 0
                 t0 = t = sim.now
                 if port.code_generation != gen:
                     itp.pc = entry
@@ -888,13 +848,27 @@ class JitEngine:
                     return
                 i = 0
         # Normal exit (fell off the end, guard taken, self-modify stop).
-        counter.value += n
-        c_block_inst.value += n
-        c_block_ns.value += t - t0
+        wake = self._flush(n, pauses, t, t0)
+        if wake is not None:
+            yield wake
+
+    def _flush(self, n: int, pauses: int, t: float, t0: float):
+        """Settle a flush window of :meth:`execute`: count its ``n``
+        instructions and ``t - t0`` simulated ns, credit all but one of
+        its ``pauses`` to the event count, and end the last one at ``t``
+        in place (:meth:`Simulator.advance_to`) when nothing else is due
+        first.  Returns the ``sleep_until(t)`` the caller must yield
+        when something is, else None."""
+        itp = self.itp
+        itp._inst_counter.value += n
+        self._c_inst.value += n
+        self._c_sim_ns.value += t - t0
         if pauses:
+            sim = itp.sim
             sim.credit_events(pauses - 1)
-            if not advance_to(t):
-                yield sleep_until(t)
+            if not sim.advance_to(t):
+                return sim.sleep_until(t)
+        return None
 
 
 class _Unsupported:

@@ -8,7 +8,8 @@ two Flick-specific features the paper adds:
   decodes its local DRAM, and writes it into a TLB control register.
   Translated physical addresses falling inside the BAR window are
   adjusted so the access is routed to local DRAM instead of looping back
-  over PCIe (Fig. 3).
+  over PCIe (Fig. 3).  The NxP memory port and the JIT test an access
+  against the window's bounds (:attr:`TLB.remap`).
 * **Inverted NX sense** — handled by the consumer passing
   ``invert_nx=True`` to permission checks; the TLB stores the NX bit
   verbatim.
@@ -176,18 +177,3 @@ class TLB:
     @property
     def occupancy(self) -> int:
         return self._count
-
-    # -- physical routing (Fig. 3) -------------------------------------------
-
-    def route(self, paddr: int) -> Tuple[str, int]:
-        """Decide where a translated physical address is serviced.
-
-        Returns ``("local", nxp_local_paddr)`` when the remap window
-        captures the address (the access stays on the NxP platform) and
-        ``("pcie", paddr)`` otherwise (the access crosses the system bus
-        to host memory).
-        """
-        remap = self.remap
-        if remap.size > 0 and remap.bar_base <= paddr < remap.bar_base + remap.size:
-            return "local", paddr - remap.offset
-        return "pcie", paddr

@@ -34,7 +34,6 @@ def slow_config() -> FlickConfig:
     timing path every fast path must match bit-for-bit."""
     return FlickConfig(
         decode_cache=False,
-        translation_fast_path=False,
         engine_fast_path=False,
         jit_enabled=False,
     )

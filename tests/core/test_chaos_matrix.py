@@ -89,16 +89,15 @@ class TestDeadNxpDegradation:
 
 class TestFastPathsOff:
     """Every named scenario classifies identically with the engine fast
-    path, the JIT, the decode cache and the translation fast path all
-    off: the fast paths are timing-exact, so no verdict, return value,
-    simulated time or fault count may move."""
+    path, the JIT and the decode cache all off: the fast paths are
+    timing-exact, so no verdict, return value, simulated time or fault
+    count may move."""
 
     def test_named_scenarios_unchanged(self):
         slow = DEFAULT_CONFIG.with_overrides(
             engine_fast_path=False,
             jit_enabled=False,
             decode_cache=False,
-            translation_fast_path=False,
         )
         scenarios = matrix_scenarios() + list(named_scenarios().values())
         assert len(scenarios) == 34

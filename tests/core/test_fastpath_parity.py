@@ -29,7 +29,7 @@ from .pooled_processes import (
 )
 from .test_mode_fidelity import NESTED_CALLS, NESTED_SRC
 
-TOGGLES = ("decode_cache", "translation_fast_path", "engine_fast_path")
+TOGGLES = ("decode_cache", "engine_fast_path")
 
 
 def _run_interpreted(cfg: FlickConfig, n: int = 40):

@@ -1,11 +1,27 @@
-"""Direct unit tests for the host and NxP memory ports."""
+"""Direct unit tests for the host and NxP memory ports.
+
+Besides the per-port cases, two differentials hold the ports' fast
+paths to their references: each port's ``fetch_check`` (plus charging
+whatever it returns) against its ``fetch``, and the host
+``TranslationCache`` memo against ``PageTables.translate``.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.ports import HostMemoryPort, NxpMemoryPort, TranslationCache
+from repro.core.ports import (
+    FallbackMemoryPort,
+    HostMemoryPort,
+    NxpMemoryPort,
+    TranslationCache,
+)
 from repro.interconnect import PCIeLink
 from repro.memory import (
+    PAGE_1G,
+    PAGE_2M,
+    PAGE_4K,
     MemoryRegion,
     PageFault,
     PageTables,
@@ -13,7 +29,7 @@ from repro.memory import (
     PhysicalMemory,
     RegionAllocator,
 )
-from repro.sim import Simulator
+from repro.sim import Simulator, StatRegistry
 
 GB = 1 << 30
 MM = DEFAULT_CONFIG.memory_map
@@ -164,18 +180,204 @@ class TestTranslationCache:
     def test_cache_returns_same_translation(self, env):
         _sim, _phys, pt, _link = env
         tc = TranslationCache(pt)
-        assert tc.translate(0x10_123).paddr == pt.translate(0x10_123).paddr
+        assert 0x10_123 + tc.entry(0x10_123)[0] == pt.translate(0x10_123).paddr
 
     def test_cache_invalidated_on_table_change(self, env):
         _sim, _phys, pt, _link = env
         tc = TranslationCache(pt)
-        assert tc.translate(0x10_000).paddr == 0x10_000
+        assert tc.entry(0x10_000)[0] == 0
         pt.unmap_page(0x10_000)
         pt.map_page(0x10_000, 0x20_000, nx=False)
-        assert tc.translate(0x10_000).paddr == 0x20_000
+        assert 0x10_000 + tc.entry(0x10_000)[0] == 0x20_000
 
     def test_cache_handles_offsets_within_page(self, env):
         _sim, _phys, pt, _link = env
         tc = TranslationCache(pt)
-        tc.translate(0x10_000)
-        assert tc.translate(0x10_FFF).paddr == 0x10_FFF
+        tc.entry(0x10_000)
+        assert 0x10_FFF + tc.entry(0x10_FFF)[0] == 0x10_FFF
+
+
+# -- TranslationCache.entry against PageTables.translate ----------------------
+
+#: page size -> (slot bases, frame base, in-page offsets looked up).
+#: Each size has its own 1 GB regions, so a huge page never has to be
+#: split.
+MEMO_SLOTS = {
+    PAGE_4K: ([0x4000_0000 + i * PAGE_4K for i in range(4)], 0x80_0000, (0, 8, 0xFFF)),
+    PAGE_2M: ([0x8000_0000 + i * PAGE_2M for i in range(3)], 0x4000_0000, (0, 0x1008, PAGE_2M - 1)),
+    PAGE_1G: ([0x1_0000_0000 + i * PAGE_1G for i in range(2)], 0x10_0000_0000, (0, 0x20_1008, PAGE_1G - 1)),
+}
+
+MEMO_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("map", "map", "unmap", "set_nx", "lookup", "lookup", "lookup")),
+        st.sampled_from(sorted(MEMO_SLOTS)),
+        st.integers(0, 3),  # slot (modulo the size's slot count)
+        st.integers(0, 3),  # frame, or in-page offset for a lookup
+        st.booleans(),  # writable
+        st.booleans(),  # nx
+    ),
+    max_size=40,
+)
+
+
+def _reference_entry(pt, vaddr):
+    try:
+        tr = pt.translate(vaddr)
+    except PageFault as fault:
+        return ("fault", fault.kind)
+    return (tr.paddr - vaddr, tr.writable, tr.nx)
+
+
+def _memo_entry(tc, vaddr):
+    try:
+        return tc.entry(vaddr)
+    except PageFault as fault:
+        return ("fault", fault.kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=MEMO_OPS)
+def test_translation_memo_matches_page_tables(ops):
+    """Random map / unmap / remap / NX-flip sequences over 4 KB, 2 MB and
+    1 GB pages: every lookup through the memo equals the reference walk
+    ``(paddr - vaddr, writable, nx)``, or both raise ``PageFault``."""
+    phys = PhysicalMemory()
+    phys.add_region(MemoryRegion("host", 0x0, 64 << 20))
+    pt = PageTables(phys, RegionAllocator("frames", 1 << 20, 16 << 20))
+    tc = TranslationCache(pt)
+    mapped = set()
+    for op, size, slot, arg, writable, nx in ops:
+        bases, frame_base, offsets = MEMO_SLOTS[size]
+        vaddr = bases[slot % len(bases)]
+        if op == "map":  # a remap when the slot is already mapped
+            pt.map_page(vaddr, frame_base + arg * size, size, writable=writable, nx=nx)
+            mapped.add(vaddr)
+        elif op == "unmap" and vaddr in mapped:
+            pt.unmap_page(vaddr)
+            mapped.discard(vaddr)
+        elif op == "set_nx" and vaddr in mapped:
+            pt.set_nx(vaddr, nx)
+        # Look up after every step, so stale memo entries get probed.
+        at = vaddr + offsets[arg % len(offsets)]
+        assert _memo_entry(tc, at) == _reference_entry(pt, at), (op, hex(at))
+
+
+# -- fetch_check against fetch, per port ---------------------------------------
+
+#: A host code page whose successor is NX-set, for a two-part HISA
+#: instruction straddling the page boundary.
+STRADDLE_PAGE = 0x40_000
+
+
+def _port_env(kind):
+    """A fresh port of ``kind`` over a host and an NxP code page, with
+    one registry for the port, its walker and the link."""
+    sim = Simulator()
+    stats = StatRegistry()
+    phys = PhysicalMemory()
+    phys.add_region(MemoryRegion("host", 0x0, 64 << 20))
+    pt = PageTables(phys, RegionAllocator("frames", 1 << 20, 16 << 20))
+    pt.map_page(0x10_000, 0x10_000, nx=False)  # host code page
+    pt.map_page(0x20_000, 0x20_000, nx=True)  # nxp code page (host-phys)
+    pt.map_page(STRADDLE_PAGE, STRADDLE_PAGE, nx=False)
+    pt.map_page(STRADDLE_PAGE + PAGE_4K, STRADDLE_PAGE + PAGE_4K, nx=True)
+    link = PCIeLink(sim, DEFAULT_CONFIG, phys, stats=stats)
+    if kind == "nxp":
+        walker = PageWalker(sim, DEFAULT_CONFIG, lambda: pt, stats=stats)
+        port = NxpMemoryPort(sim, DEFAULT_CONFIG, phys, link, walker, stats=stats)
+    else:
+        cls = HostMemoryPort if kind == "host" else FallbackMemoryPort
+        port = cls(sim, DEFAULT_CONFIG, phys, link, pt, stats=stats)
+    return sim, stats, port
+
+
+def _fetches(port, spans):
+    for vaddr, nbytes in spans:
+        yield from port.fetch(vaddr, nbytes)
+
+
+def _fetch_checks(port, spans):
+    """What the interpreter does on a decode-cache hit: call
+    ``fetch_check`` and charge what it returns."""
+    advance = port.sim.advance
+    for vaddr, nbytes in spans:
+        due = port.fetch_check(vaddr, nbytes)
+        if due is None:
+            continue
+        if type(due) is tuple:
+            for pause in due:
+                if not advance(pause.delay):
+                    yield pause
+        else:
+            yield from due
+
+
+def _observe(kind, warm, spans, run):
+    """Warm a fresh ``kind`` port with ``warm`` (fetches, or a TLB
+    flush), run ``spans`` through ``run``; return everything a fetch
+    may change."""
+    sim, stats, port = _port_env(kind)
+    for action in warm:
+        if action == "flush_tlbs":
+            port.flush_tlbs()
+            continue
+        try:
+            sim.run_process(_fetches(port, [action]))
+        except Exception:
+            pass  # warming a faulting fetch still fills the I-TLB
+    fault = None
+    try:
+        sim.run_process(run(port, spans))
+    except Exception as exc:
+        root = exc.__cause__ or exc
+        fault = (type(root).__name__, getattr(root, "vaddr", None), getattr(root, "kind", None))
+    return fault, sim.now, stats.snapshot(), sim.events_processed
+
+
+LINE = DEFAULT_CONFIG.nxp_icache_line_bytes
+
+#: case -> (ports it applies to, warm-up, fetched spans) per NX sense:
+#: ``code`` is a page the port executes, ``other`` one it faults on.
+FETCH_CASES = {
+    "itlb_hit_icache_hit": (("host", "fallback", "nxp"), lambda code, other: (
+        [(code, 8)], [(code, 8)])),
+    "itlb_miss_icache_miss": (("host", "fallback", "nxp"), lambda code, other: (
+        [], [(code, 8)])),
+    "itlb_miss_icache_hit": (("nxp",), lambda code, other: (
+        [(code, 8), "flush_tlbs"], [(code, 8)])),
+    "itlb_hit_icache_miss": (("nxp",), lambda code, other: (
+        [(code, 8)], [(code + LINE, 8)])),
+    "nx_fault_on_walk": (("host", "fallback", "nxp"), lambda code, other: (
+        [], [(other, 8)])),
+    "nx_fault_on_itlb_hit": (("host", "fallback", "nxp"), lambda code, other: (
+        [(other, 8)], [(other, 8)])),
+    "unmapped": (("host", "fallback", "nxp"), lambda code, other: (
+        [], [(0xDEAD_0000, 8)])),
+    "two_part_hisa": (("host",), lambda code, other: (
+        [], [(code, 1), (code + 1, 3)])),
+    "two_part_hisa_nx_fault_across_page": (("host",), lambda code, other: (
+        [], [(STRADDLE_PAGE + PAGE_4K - 1, 1), (STRADDLE_PAGE + PAGE_4K, 3)])),
+}
+
+#: Each port's executable and faulting page under its NX sense: the host
+#: executes NX-clear pages, the fallback emulator and the NxP NX-set ones.
+EXEC_PAGES = {"host": (0x10_000, 0x20_000), "fallback": (0x20_000, 0x10_000),
+              "nxp": (0x20_000, 0x10_000)}
+
+
+@pytest.mark.parametrize(
+    "kind,case",
+    [(kind, case) for case, (kinds, _) in FETCH_CASES.items() for kind in kinds],
+)
+def test_fetch_check_charges_what_fetch_charges(kind, case):
+    """``fetch_check`` plus charging its result equals ``fetch`` in
+    simulated time, stats, processed events and raised fault."""
+    code, other = EXEC_PAGES[kind]
+    warm, spans = FETCH_CASES[case][1](code, other)
+    reference = _observe(kind, warm, spans, _fetches)
+    assert _observe(kind, warm, spans, _fetch_checks) == reference
+    if "fault" in case or case == "unmapped":
+        assert reference[0] is not None and reference[0][0] == "PageFault"
+    else:
+        assert reference[0] is None

@@ -5,8 +5,8 @@ and :class:`repro.memory.Cache` replaced, kept as the oracle for
 ``test_memory_differential.py``.  The TLB scans its entries front to
 back and moves each hit to the front; the cache keeps each set as a
 list of ``(tag, stamp)`` tuples.  Both replace the minimum-stamp entry.
-The TLB's physical routing (``route``, unchanged by the index) is not
-duplicated here.
+The TLB's BAR-remap register (``program_remap``, unchanged by the
+index) is not duplicated here.
 """
 
 from __future__ import annotations

@@ -1,17 +1,24 @@
 """Tests for the NxP TLB: LRU, huge pages, BAR remap routing."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.config import DEFAULT_CONFIG
+from repro.core.ports import NxpMemoryPort
+from repro.interconnect import PCIeLink
 from repro.memory import (
     PAGE_1G,
     PAGE_4K,
     MemoryRegion,
     PageTables,
+    PageWalker,
     PhysicalMemory,
     RegionAllocator,
     TLB,
 )
-from repro.sim import StatRegistry
+from repro.memory.tlb import RemapWindow
+from repro.sim import Simulator, StatRegistry
 
 GB = 1024 * 1024 * 1024
 
@@ -105,30 +112,80 @@ def test_zero_entries_rejected():
 
 
 class TestRemap:
-    """Fig. 3: BAR at 0xA_0000_0000 (host view), NxP DRAM at 0x8000_0000."""
+    """Fig. 3: BAR at 0xA_0000_0000 (host view), NxP DRAM at 0x8000_0000.
+
+    The routing decision is taken by the NxP memory port against its
+    D-TLB's remap window, so each case loads and stores one byte through
+    the port and reads the route off its counters."""
+
+    BAR = 0xA_0000_0000
+    LOCAL = 0x8000_0000
+    #: vaddr page -> paddr page around both window edges.
+    PAGES = {
+        0x100_000: BAR,
+        0x101_000: BAR + 4 * GB - PAGE_4K,
+        0x102_000: BAR + 4 * GB,
+        0x103_000: BAR - PAGE_4K,
+        0x104_000: 0x10_0000,  # host DRAM
+    }
 
     def setup_method(self):
-        self.tlb = TLB("t")
-        self.bar = 0xA_0000_0000
-        self.local = 0x8000_0000
-        self.tlb.program_remap(self.bar, 4 * GB, self.bar - self.local)
+        # BRAM moved off bar + 4 GB (where the default map puts it), so
+        # only the window decides the route there.
+        mm = replace(DEFAULT_CONFIG.memory_map, nxp_bram_base=0xC_0000_0000)
+        self.cfg = replace(DEFAULT_CONFIG, memory_map=mm)
+        self.sim = Simulator()
+        phys = PhysicalMemory()
+        phys.add_region(MemoryRegion("host", 0x0, 64 << 20))
+        phys.add_region(MemoryRegion("below", self.BAR - (2 << 20), 2 << 20))
+        phys.add_region(MemoryRegion("nxp", self.BAR, 4 * GB))
+        phys.add_region(MemoryRegion("beyond", self.BAR + 4 * GB, 2 << 20))
+        pt = PageTables(phys, RegionAllocator("frames", 0x100_0000, 16 << 20))
+        for vaddr, paddr in self.PAGES.items():
+            pt.map_page(vaddr, paddr, nx=True)
+        walker = PageWalker(self.sim, self.cfg, lambda: pt)
+        link = PCIeLink(self.sim, self.cfg, phys)
+        self.port = NxpMemoryPort(self.sim, self.cfg, phys, link, walker)
+        self.tlb = self.port.dtlb
+        self.tlb.program_remap(self.BAR, 4 * GB, self.BAR - self.LOCAL)
+
+    def route(self, vaddr):
+        """(load route, store route) of one byte at ``vaddr``."""
+        before = self.port.stats.snapshot()
+        self.sim.run_process(self.port.load(vaddr, 1))
+        self.sim.run_process(self.port.store(vaddr, b"\x5a"))
+        after = self.port.stats.snapshot()
+
+        def moved(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        load = "local" if moved("nxp.load_local") else "pcie" if moved("nxp.load_pcie") else None
+        store = "pcie" if moved("nxp.store_pcie") else "local"
+        return load, store
 
     def test_bar_address_routes_local(self):
-        route, addr = self.tlb.route(self.bar + 0x1234)
-        assert route == "local"
-        assert addr == self.local + 0x1234
+        assert self.route(0x100_000 + 0x1234) == ("local", "local")
+        # The register maps the BAR address back to the NxP's own decode.
+        assert self.BAR + 0x1234 - self.tlb.remap.offset == self.LOCAL + 0x1234
 
     def test_host_dram_routes_over_pcie(self):
-        route, addr = self.tlb.route(0x10_0000)
-        assert route == "pcie"
-        assert addr == 0x10_0000
+        assert self.route(0x104_000) == ("pcie", "pcie")
 
     def test_boundaries(self):
-        assert self.tlb.route(self.bar)[0] == "local"
-        assert self.tlb.route(self.bar + 4 * GB - 1)[0] == "local"
-        assert self.tlb.route(self.bar + 4 * GB)[0] == "pcie"
-        assert self.tlb.route(self.bar - 1)[0] == "pcie"
+        assert self.route(0x100_000) == ("local", "local")  # bar
+        assert self.route(0x101_FFF) == ("local", "local")  # bar + 4 GB - 1
+        assert self.route(0x102_000) == ("pcie", "pcie")  # bar + 4 GB
+        assert self.route(0x103_FFF) == ("pcie", "pcie")  # bar - 1
+
+    def test_local_route_costs_a_local_read(self):
+        self.sim.run_process(self.port.load(0x101_FF8, 8))  # warm the D-TLB
+        t0 = self.sim.now
+        self.sim.run_process(self.port.load(0x101_FF8, 8))
+        assert self.sim.now - t0 == pytest.approx(
+            self.cfg.tlb_hit_ns + self.cfg.nxp_to_local_read_ns
+        )
 
     def test_unprogrammed_remap_routes_everything_pcie(self):
-        fresh = TLB("fresh")
-        assert fresh.route(self.bar + 5)[0] == "pcie"
+        self.tlb.remap = RemapWindow()  # what a fresh TLB holds
+        assert TLB("fresh").remap == self.tlb.remap
+        assert self.route(0x100_000 + 5) == ("pcie", "pcie")
