@@ -289,9 +289,7 @@ class HostedContext:
         latency = executor.access_latency
         dtlb = executor._nxp_dtlb
         hit_counter = dtlb._c_hit
-        remap = dtlb.remap
-        remap_lo = remap.bar_base
-        remap_hi = remap.bar_base + remap.size if remap.size > 0 else remap.bar_base
+        remap_lo, remap_hi = dtlb.remap.lo, dtlb.remap.hi
         fs_hit_bram = round((executor._lat_tlb_hit + executor._lat_nxp_bram) * _FS_PER_NS) + step_fs
         fs_hit_local = round((executor._lat_tlb_hit + executor._lat_nxp_local_read) * _FS_PER_NS) + step_fs
         fs_hit_host = round((executor._lat_tlb_hit + executor._lat_nxp_host_read) * _FS_PER_NS) + step_fs
@@ -460,7 +458,7 @@ class HostedMachine:
         if self._bram_lo <= paddr < self._bram_hi:
             return base + self._lat_nxp_bram
         remap = dtlb.remap
-        if remap.size > 0 and remap.bar_base <= paddr < remap.bar_base + remap.size:
+        if remap.lo <= paddr < remap.hi:
             return base + (self._lat_nxp_local_write if write else self._lat_nxp_local_read)
         if write:
             return base + self._lat_posted_write

@@ -340,7 +340,7 @@ class NxpMemoryPort:
                 yield self._pause_bram
             return self.phys.read(paddr, nbytes)
         remap = self.dtlb.remap
-        if remap.bar_base <= paddr < remap.bar_base + remap.size:
+        if remap.lo <= paddr < remap.hi:
             # The D-TLB's BAR-remap window captures the access, so it
             # stays on the NxP platform (Fig. 3).  Cacheable windows are
             # registered in host-view (BAR) addresses, the canonical
@@ -374,7 +374,7 @@ class NxpMemoryPort:
             self.phys.write(paddr, data)
             return
         remap = self.dtlb.remap
-        if remap.bar_base <= paddr < remap.bar_base + remap.size:
+        if remap.lo <= paddr < remap.hi:
             if self.cacheable.cacheable(paddr):
                 self.dcache.invalidate_range(paddr, len(data))
             if not self._advance(self._pause_local_write.delay):

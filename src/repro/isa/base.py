@@ -233,9 +233,16 @@ class RegisterFile:
         return list(self._regs)
 
     def restore(self, values: Sequence[int]) -> None:
+        """Load a :meth:`snapshot`.  The list is assigned in place, since
+        compiled superblocks index it directly (repro.isa.jit), and the
+        zero register's slot stays 0, so a direct read of it agrees with
+        :meth:`read`."""
         if len(values) != self.count:
             raise ValueError("register snapshot size mismatch")
-        self._regs = [v & MASK64 for v in values]
+        regs = self._regs
+        regs[:] = [v & MASK64 for v in values]
+        if self.zero_reg is not None:
+            regs[self.zero_reg] = 0
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,19 @@ This module adds a third execution tier above the decode cache:
    pauses to :meth:`Simulator.credit_events`.  A flush ends in place
    through :meth:`Simulator.advance_to` when nothing else is due first,
    and yields one exact ``sleep_until`` otherwise.
-   Only the I-fetch differs per core (see :meth:`JitEngine.execute`).
-   Stat counters are bumped through the same Counter objects the slow
-   path uses.  Anything unexpected — page fault, write-protect,
-   IsaFault, TLB miss, I-cache miss, cross-PCIe route, code-generation
-   change — either runs through the port's own engine path (slow memory
-   routes) or bails out to the interpreter at a precise architectural
-   state (``itp.pc`` at the faulting/next instruction, time flushed,
-   counters settled).
+   Only the I-fetch differs per core: hoisted on the host, replayed on
+   the NxP.  Within a flush window nothing else runs, so the NxP's
+   I-TLB/I-cache work is booked once per I-cache line run and its D-TLB
+   hits once per page run, committed at the window's end with the same
+   stamps and counters as per-instruction hits (see
+   :meth:`JitEngine.execute`).  Stat counters are bumped through the
+   same Counter objects the slow path uses; micro-ops read and write
+   the register list directly.  Anything unexpected — page fault,
+   write-protect, IsaFault, TLB miss, I-cache miss, cross-PCIe route,
+   code-generation change — either runs through the port's own engine
+   path (slow memory routes) or bails out to the interpreter at a
+   precise architectural state (``itp.pc`` at the faulting/next
+   instruction, time flushed, counters settled).
 
 Invalidation reuses the decoded-instruction-cache contract: every block
 records the port ``code_generation`` it was compiled under, and the
@@ -66,6 +71,7 @@ executing thread itself or happen at load time).
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional
 
 from repro.isa import hisa, nisa
@@ -76,19 +82,34 @@ __all__ = ["JitEngine", "Superblock", "BAILOUT_REASONS"]
 
 # Micro-op kinds (tuple slot 0).  Host PUSH compiles to K_HSTORE with
 # an address function that moves SP first; POP is a load that then
-# bumps SP.
+# bumps SP.  Register operands are indices into the core's register
+# list, range-checked at compile time; a destination ``rd`` is None when
+# it is the zero register (the write is dropped).  A memory op's next
+# pc is its last slot.
 K_SIMPLE = 0  # (K, pc, cost_ns, fn | None)
 K_GUARD = 1  # (K, pc, cost_ns, cond_fn, taken_pc, taken_idx)
 K_LOOP = 2  # (K, pc, cost_ns, None) — close the loop back to entry
 K_HLOAD = 3  # (K, pc, cost_ns, addr_fn, size, rd, next_pc)
 K_HSTORE = 4  # (K, pc, cost_ns, addr_fn, size, value_fn, next_pc)
 K_POP = 5  # (K, pc, cost_ns, addr_fn, 8, rd, next_pc)
-K_NLOAD = 6  # (K, pc, cost_ns, addr_fn, size, rd, next_pc)
-K_NSTORE = 7  # (K, pc, cost_ns, addr_fn, size, value_fn, next_pc)
+K_NLOAD = 6  # (K, pc, cost_ns, base_reg, imm, size, rd, next_pc)
+K_NSTORE = 7  # (K, pc, cost_ns, base_reg, imm, size, src_reg, value_mask, next_pc)
 
 # K_GUARD taken_idx sentinels (taken_idx >= 0 is an intra-trace index).
 LOOP_RESTART = -1
 GUARD_EXIT = -2
+
+# Why a flush window of JitEngine.execute ended.
+_EXIT = 0  # leave the block (itp.pc is set)
+_RESTART = 1  # close the loop: re-check the code generation, rerun from op 0
+_FILL = 2  # I-cache miss: the port fills the line, then the op runs
+_LOAD = 3  # slow-route load: the port performs it
+_STORE = 4  # slow-route store: the port performs it
+_RAISE = 5  # the op faulted: re-raise after the flush
+
+#: XOR-ing the sign bit maps two's-complement order onto unsigned order,
+#: so a signed compare of two masked 64-bit values needs no conversion.
+_SIGN_BIT = 1 << 63
 
 #: Every reason :class:`JitEngine` counts under ``jit.bailouts.*``.
 BAILOUT_REASONS = (
@@ -174,9 +195,9 @@ class JitEngine:
 
         Host-style ports (translation cache + synchronous physical
         memory, free I-fetch) run superblocks with the I-fetch hoisted;
-        on the NxP port :meth:`execute` replays the I-TLB/I-cache per
-        instruction.  Ports without either contract (e.g. the tests'
-        FlatPort) run without a JIT.
+        on the NxP port :meth:`execute` replays the I-TLB/I-cache work,
+        booked per I-cache line run.  Ports without either contract
+        (e.g. the tests' FlatPort) run without a JIT.
         """
         port = itp.port
         if hasattr(port, "tcache") and hasattr(port, "phys"):
@@ -317,8 +338,8 @@ class JitEngine:
             return None
         cost_ns = itp.cost.cost_ns
         zero_reg = itp.abi.zero_reg
+        reg_count = itp.regs.count
         host_mem = self.style == "host"
-        load_kind, store_kind = (K_HLOAD, K_HSTORE) if host_mem else (K_NLOAD, K_NSTORE)
 
         ops: List[list] = []  # mutable while guard targets resolve
         index_of: Dict[int, int] = {}  # decoded pc -> op index
@@ -347,6 +368,11 @@ class JitEngine:
             op = inst.op
             nxt = pc + length
             if op in _TERMINATORS or (op is Op.JAL and inst.rd != zero_reg):
+                exit_pc = pc
+                break
+            if any(r is not None and not 0 <= r < reg_count for r in (inst.rd, inst.rs1, inst.rs2)):
+                # The closures index the register list unchecked; let
+                # the interpreter raise on a bad register operand.
                 exit_pc = pc
                 break
             cost = cost_ns(op)
@@ -381,21 +407,31 @@ class JitEngine:
                     exit_pc = pc
                     break
                 index_of[pc] = len(ops)
+                rd = None if inst.rd == zero_reg else inst.rd
                 if op is Op.PUSH:
                     addr_fn = self._compile_stack_addr(True)
                     value_fn = self._compile_store_value(inst.rd, 8)
                     ops.append([K_HSTORE, pc, cost, addr_fn, 8, value_fn, nxt])
                 elif op is Op.POP:
                     addr_fn = self._compile_stack_addr(False)
-                    ops.append([K_POP, pc, cost, addr_fn, 8, inst.rd, nxt])
+                    ops.append([K_POP, pc, cost, addr_fn, 8, rd, nxt])
                 elif op in _SIZED_LOADS:
-                    addr_fn = self._compile_addr(inst)
-                    ops.append([load_kind, pc, cost, addr_fn, _SIZED_LOADS[op], inst.rd, nxt])
+                    size = _SIZED_LOADS[op]
+                    if host_mem:
+                        ops.append([K_HLOAD, pc, cost, self._compile_addr(inst), size, rd, nxt])
+                    else:
+                        ops.append([K_NLOAD, pc, cost, inst.rs1, inst.imm or 0, size, rd, nxt])
                 else:
                     size = _SIZED_STORES[op]
-                    addr_fn = self._compile_addr(inst)
-                    value_fn = self._compile_store_value(inst.rs2, size)
-                    ops.append([store_kind, pc, cost, addr_fn, size, value_fn, nxt])
+                    if host_mem:
+                        addr_fn = self._compile_addr(inst)
+                        value_fn = self._compile_store_value(inst.rs2, size)
+                        ops.append([K_HSTORE, pc, cost, addr_fn, size, value_fn, nxt])
+                    else:
+                        mask = (1 << (8 * size)) - 1
+                        ops.append(
+                            [K_NSTORE, pc, cost, inst.rs1, inst.imm or 0, size, inst.rs2, mask, nxt]
+                        )
                 pc = nxt
                 continue
             fn = self._compile_sync(inst, pc)
@@ -423,114 +459,144 @@ class JitEngine:
         return Superblock(entry, gen, [tuple(o) for o in ops], exit_pc, loop)
 
     # -- operand / semantics closures --------------------------------------
+    #
+    # The closures index the register list directly (``R``): every value
+    # in it is already masked to 64 bits, the zero register's slot always
+    # holds 0 (RegisterFile keeps it so), and a write to the zero
+    # register is folded away at compile time.
 
     def _compile_cond(self, inst):
         itp = self.itp
-        r = itp.regs.read
+        R = itp.regs._regs
         op = inst.op
         if op is Op.JCC:
             cond = inst.cond
             return lambda: itp._cond(cond)
         rs1, rs2 = inst.rs1, inst.rs2
         if op is Op.BEQ:
-            return lambda: r(rs1) == r(rs2)
+            return lambda: R[rs1] == R[rs2]
         if op is Op.BNE:
-            return lambda: r(rs1) != r(rs2)
+            return lambda: R[rs1] != R[rs2]
         if op is Op.BLT:
-            return lambda: to_signed(r(rs1)) < to_signed(r(rs2))
-        return lambda: to_signed(r(rs1)) >= to_signed(r(rs2))  # BGE
+            return lambda: (R[rs1] ^ _SIGN_BIT) < (R[rs2] ^ _SIGN_BIT)
+        return lambda: (R[rs1] ^ _SIGN_BIT) >= (R[rs2] ^ _SIGN_BIT)  # BGE
 
     def _compile_addr(self, inst):
-        r = self.itp.regs.read
+        R = self.itp.regs._regs
         rs1 = inst.rs1
         imm = inst.imm or 0
         if imm:
-            return lambda: (r(rs1) + imm) & MASK64
-        return lambda: r(rs1) & MASK64
+            return lambda: (R[rs1] + imm) & MASK64
+        return lambda: R[rs1]
 
     def _compile_stack_addr(self, push: bool):
         """A PUSH/POP address: SP.  A push moves SP first, exactly as
         :meth:`Interpreter._execute` does, so a faulting push leaves SP
         decremented."""
-        regs = self.itp.regs
-        r = regs.read
-        w = regs.write
+        R = self.itp.regs._regs
         sp_reg = self.itp.abi.sp_reg
         if not push:
-            return lambda: r(sp_reg)
+            return lambda: R[sp_reg]
 
         def push_addr():
-            sp = (r(sp_reg) - 8) & MASK64
-            w(sp_reg, sp)
+            sp = R[sp_reg] = (R[sp_reg] - 8) & MASK64
             return sp
 
         return push_addr
 
     def _compile_store_value(self, reg: int, size: int):
-        r = self.itp.regs.read
+        R = self.itp.regs._regs
         mask = (1 << (8 * size)) - 1
-        return lambda: r(reg) & mask
+        return lambda: R[reg] & mask
 
     def _compile_sync(self, inst, pc: int):
         """Closure with :meth:`Interpreter._execute_sync`'s exact
         semantics for one pre-decoded, PC-independent instruction."""
         itp = self.itp
-        regs = itp.regs
-        r = regs.read
-        w = regs.write
+        R = itp.regs._regs
         op = inst.op
         rd, rs1, rs2, imm = inst.rd, inst.rs1, inst.rs2, inst.imm
         hisa_mode = itp.isa == "hisa"
-
+        # A write to the zero register is dropped: an op that does
+        # nothing else compiles to nothing.
+        to_zero = rd is not None and rd == itp.abi.zero_reg
+        if op is Op.NOP or (to_zero and op in _RD_WRITERS):
+            return None
         if op is Op.ADDI:
-            return lambda: w(rd, r(rs1) + imm)
+
+            def fn():
+                R[rd] = (R[rs1] + imm) & MASK64
+
+            return fn
         if op is Op.MOV:
-            return lambda: w(rd, r(rs1))
+
+            def fn():
+                R[rd] = R[rs1]
+
+            return fn
         if op is Op.LI:
             value = imm & MASK64
-            return lambda: w(rd, value)
+
+            def fn():
+                R[rd] = value
+
+            return fn
         if op is Op.LIH:
             high = (imm & 0xFFFF_FFFF) << 32
-            return lambda: w(rd, (r(rd) & 0xFFFF_FFFF) | high)
-        if op is Op.NOP:
-            return None
+
+            def fn():
+                R[rd] = (R[rd] & 0xFFFF_FFFF) | high
+
+            return fn
         if op is Op.CMP:
             if imm is not None:
                 b = to_signed(imm)
 
                 def fn():
-                    a = to_signed(r(rd))
+                    a = to_signed(R[rd])
                     itp.zf = a == b
                     itp.sf_lt = a < b
 
             else:
 
                 def fn():
-                    a = to_signed(r(rd))
-                    b = to_signed(r(rs1))
+                    a = to_signed(R[rd])
+                    b = to_signed(R[rs1])
                     itp.zf = a == b
                     itp.sf_lt = a < b
 
             return fn
         if op in _ALU_FAST or op in _ALU_SLOW:
-            if hisa_mode:
-                if imm is not None:
-                    b_const = imm & MASK64
-                    if op in _ALU_FAST:
-                        alu = _ALU_FAST[op]
-                        return lambda: w(rd, alu(r(rd), b_const))
-                    alu = itp._alu
-                    return lambda: w(rd, alu(op, r(rd), b_const, pc))
-                if op in _ALU_FAST:
-                    alu = _ALU_FAST[op]
-                    return lambda: w(rd, alu(r(rd), r(rs1)))
-                alu = itp._alu
-                return lambda: w(rd, alu(op, r(rd), r(rs1), pc))
-            if op in _ALU_FAST:
-                alu = _ALU_FAST[op]
-                return lambda: w(rd, alu(r(rs1), r(rs2)))
+            fast = _ALU_FAST.get(op)
             alu = itp._alu
-            return lambda: w(rd, alu(op, r(rs1), r(rs2), pc))
+            if hisa_mode and imm is not None:  # two-operand: rd op= imm
+                b_const = imm & MASK64
+                if fast is not None:
+
+                    def fn():
+                        R[rd] = fast(R[rd], b_const) & MASK64
+
+                else:
+
+                    def fn():
+                        R[rd] = alu(op, R[rd], b_const, pc) & MASK64
+
+                return fn
+            # Two-operand HISA (rd op= rs1) or three-operand NISA.
+            a, b = (rd, rs1) if hisa_mode else (rs1, rs2)
+            if to_zero:  # a slow op into the zero register may still fault
+                return lambda: alu(op, R[a], R[b], pc)
+            if fast is not None:
+
+                def fn():
+                    R[rd] = fast(R[a], R[b]) & MASK64
+
+            else:
+
+                def fn():
+                    R[rd] = alu(op, R[a], R[b], pc) & MASK64
+
+            return fn
         return _UNSUPPORTED
 
     # -- execution ---------------------------------------------------------
@@ -539,26 +605,50 @@ class JitEngine:
         """Run one superblock (generator; yields at most a few
         consolidated pauses plus any slow-route port traffic).
 
-        On the NxP each instruction first replays the I-fetch: the I-TLB
-        and I-cache *mutate* on every access (LRU order, hit/miss/evict
-        counters), so the replay calls the same objects the interpreter
-        would — only the timed pauses are consolidated.  An I-TLB probe
-        miss (or flipped NX sense) bails to the interpreter *before* any
-        bookkeeping for the instruction, so the real lookup is counted
-        exactly once.  The host I-fetch is hoisted: compilation validated
-        every code page against the port's NX sense, ``code_generation``
-        equality (checked on entry by the interpreter and re-checked at
-        every loop boundary and after every store) proves those checks
-        still pass, and the host charges no I-fetch time.
-
-        Every flush (:meth:`_flush`) settles the instruction counters,
+        The block runs in flush windows: one per loop iteration, region
+        exit or slow route.  Each window replays the interpreter's timed
+        pauses on a local accumulator and ends in one place, which
+        commits the window's pending bookkeeping, settles the counters,
         credits the collapsed pauses and sleeps to the accumulated time
-        ``t``; there is one per loop iteration or slow route, not one
-        per instruction.
+        ``t`` (:meth:`_flush`), then does what ended the window: close
+        the loop, leave, re-raise a fault, or hand a line fill, a load
+        or a store to the port.
+
+        On the NxP every instruction replays its I-fetch, and the I-TLB,
+        I-cache and D-TLB keep exact LRU stamps and counters.  Within a
+        window nothing else runs, so the replay books that work per run
+        instead of per instruction (docs/PERFORMANCE.md, "Window-scoped
+        replay"):
+
+        * a *fetch run* is a stretch of instructions on one I-cache line
+          (and one 4 KB page).  Its first instruction probes the I-TLB
+          and accesses the I-cache as the interpreter's fetch would; the
+          rest only count, and the count is committed with
+          ``TLB.touch(entry, n)`` and ``Cache.touch(line, n)`` when the
+          line changes or the window ends.
+        * a *data run* is a stretch of fast-route loads and stores on one
+          D-TLB page.  An access inside the page of the last fast-route
+          entry skips the probe, and its hit is committed with the run.
+
+        ``n`` hits in a row on one entry or line leave exactly the state
+        of ``n`` single hits, and the float time adds stay per
+        instruction and in order, so simulated results do not move.
+        Pending runs are committed, and the memos dropped, wherever a
+        window ends: before every flush, so before every yield, port
+        call, bailout and re-raise.  An I-TLB probe miss (or flipped NX
+        sense) bails to the interpreter *before* any bookkeeping for the
+        instruction, so the real lookup is counted exactly once.
+
+        The host I-fetch is hoisted: compilation validated every code
+        page against the port's NX sense, ``code_generation`` equality
+        (checked on entry by the interpreter and re-checked at every
+        loop boundary and after every store) proves those checks still
+        pass, and the host charges no I-fetch time.
         """
         itp = self.itp
         sim = itp.sim
         port = itp.port
+        R = itp.regs._regs
         nxp = self.style == "nxp"
         if nxp:
             itlb = port.itlb
@@ -579,278 +669,320 @@ class JitEngine:
             local_write_ns = cfg.nxp_to_local_write_ns
             bram_lo = port.mm.nxp_bram_base
             bram_hi = bram_lo + port.mm.nxp_bram_size
-            # The D-TLB's BAR-remap window (the port's local route); an
-            # unprogrammed register captures nothing.
-            remap = dtlb.remap
-            remap_lo = remap.bar_base
-            remap_hi = remap_lo + remap.size if remap.size > 0 else remap_lo
+            # The D-TLB's BAR-remap window (the port's local route).
+            remap_lo = dtlb.remap.lo
+            remap_hi = dtlb.remap.hi
+            # A fetch run keys on pc >> run_shift: one I-cache line, and
+            # never more than one 4 KB page, so one I-TLB entry.
+            run_shift = min(icache.line_bytes.bit_length() - 1, 12)
+            frames = port.phys._frames
         else:
             tcache = port.tcache
-            tables = port.tables
+            space = port.tables
             cached_ns = port.cfg.host_cached_mem_ns
             sp_reg = itp.abi.sp_reg
         mm = port.mm
         phys = port.phys
         c_load = port._c_load
         c_store = port._c_store
-        rwrite = itp.regs.write
         ops = block.ops
         nops = len(ops)
         gen = block.gen
         entry = block.entry
 
         self._c_exec.value += 1
-        t = sim.now
-        t0 = t
-        pauses = 0
-        n = 0
         i = 0
-        while True:
-            if i == nops:
-                itp.pc = block.exit_pc
-                break
-            op = ops[i]
-            kind = op[0]
-            pc_i = op[1]
-            cost = op[2]
-            if nxp and (cost or kind != K_LOOP):
-                # -- I-fetch replay (not for the synthetic loop marker) --
-                fetched = itlb.probe(pc_i)
-                if fetched is None or not fetched.nx:
-                    itp.pc = pc_i
-                    self._note_bail("itlb")
-                    wake = self._flush(n, pauses, t, t0)
-                    if wake is not None:
-                        yield wake
-                    return
-                itlb.touch(fetched)  # counted hit + LRU, as fetch would
-                paddr = fetched.pbase | (pc_i - fetched.vbase)
-                c_fetch.value += 1
-                if icache.access(paddr):
-                    t += tlb_hit_ns
-                    t += icache_hit_ns
-                    pauses += 2
-                else:
-                    # I-cache miss: flush, then the port's own fill path
-                    # (TLB-hit pause + cross-PCIe line fill, all real events).
-                    wake = self._flush(n, pauses, t, t0)
-                    if wake is not None:
-                        yield wake
-                    n = pauses = 0
-                    yield from port.fill_after_hit(paddr)
-                    t0 = t = sim.now
-            t += cost
-            pauses += 1
-            n += 1
-            if kind == K_SIMPLE:
-                fn = op[3]
-                if fn is not None:
-                    try:
-                        fn()
-                    except BaseException:
-                        itp.pc = pc_i
-                        self._note_bail("fault")
-                        wake = self._flush(n, pauses, t, t0)
-                        if wake is not None:
-                            yield wake
-                        raise
-                i += 1
-            elif kind == K_GUARD:
-                if op[3]():
-                    idx = op[5]
-                    if idx >= 0:
-                        i = idx
-                    elif idx == LOOP_RESTART:
-                        wake = self._flush(n, pauses, t, t0)
-                        if wake is not None:
-                            yield wake
-                        n = pauses = 0
-                        t0 = t = sim.now
-                        if port.code_generation != gen:
-                            itp.pc = entry
-                            self.invalidate("codegen")
-                            return
-                        i = 0
-                    else:  # GUARD_EXIT
-                        itp.pc = op[4]
-                        break
-                else:
-                    i += 1
-            elif kind == K_NLOAD:
-                addr = op[3]()
-                size = op[4]
-                hit = dtlb.probe(addr)
-                if hit is not None:
-                    paddr = hit.pbase | (addr - hit.vbase)
-                    bram = bram_lo <= paddr < bram_hi
-                    if bram or remap_lo <= paddr < remap_hi:
-                        # Fast replay of port.load's BRAM / local-window
-                        # routes: counted D-TLB hit, then the same route
-                        # bookkeeping, with the pauses consolidated.
-                        dtlb.touch(hit)
-                        t += tlb_hit_ns
-                        c_load.value += 1
-                        if bram:
-                            t += bram_ns
-                        else:
-                            for base, span in windows:
-                                if base <= paddr < base + span:
-                                    cached = dcache.access(paddr)
-                                    break
-                            else:
-                                cached = False
-                            t += icache_hit_ns if cached else local_read_ns
-                            c_load_local.value += 1
-                        pauses += 2
-                        rwrite(op[5], int.from_bytes(phys.read(paddr, size), "little"))
-                        i += 1
-                        continue
-                # D-TLB miss or cross-PCIe route: flush, then delegate
-                # the whole access to the port (walker, link contention
-                # and any page fault are real, at a precise pc).
-                itp.pc = pc_i
-                wake = self._flush(n, pauses, t, t0)
-                if wake is not None:
-                    yield wake
-                n = pauses = 0
-                data = yield from port.load(addr, size)
-                rwrite(op[5], int.from_bytes(data, "little"))
-                t0 = t = sim.now
-                i += 1
-            elif kind == K_NSTORE:
-                addr = op[3]()
-                size = op[4]
-                hit = dtlb.probe(addr)
-                if hit is not None and hit.writable:
-                    paddr = hit.pbase | (addr - hit.vbase)
-                    bram = bram_lo <= paddr < bram_hi
-                    if bram or remap_lo <= paddr < remap_hi:
-                        dtlb.touch(hit)
-                        t += tlb_hit_ns
-                        c_store.value += 1
-                        if provider is not None:
-                            space = provider()
-                            if space is not None:
-                                space.note_code_store(addr, size)
-                        data = op[5]().to_bytes(size, "little")
-                        if bram:
-                            t += bram_ns
-                        else:
-                            for base, span in windows:
-                                if base <= paddr < base + span:
-                                    dcache.invalidate_range(paddr, size)
-                                    break
-                            t += local_write_ns
-                        pauses += 2
-                        phys.write(paddr, data)
-                        if port.code_generation != gen:
-                            itp.pc = op[6]
-                            self.invalidate("self_modify")
-                            break
-                        i += 1
-                        continue
-                # Miss, write-protect or cross-PCIe: flush, delegate;
-                # port.store counts, pauses and faults exactly as the
-                # interpreter's slow path would.
-                itp.pc = pc_i
-                wake = self._flush(n, pauses, t, t0)
-                if wake is not None:
-                    yield wake
-                n = pauses = 0
-                yield from port.store(addr, op[5]().to_bytes(size, "little"))
-                t0 = t = sim.now
-                if port.code_generation != gen:
-                    itp.pc = op[6]
-                    self.invalidate("self_modify")
+        filled = -1  # the op whose fetch was the line fill that ended the last window
+        while True:  # one flush window per pass
+            t0 = t = sim.now
+            pauses = n = 0
+            # Fetch run: line key, I-TLB entry, physical address, hits
+            # not yet committed (the first fetch is committed at once).
+            fvline = -1
+            fe = None
+            fpaddr = 0
+            fk = 0
+            # Data run: the page's bounds and base, its D-TLB entry, and
+            # the hits not yet committed.
+            dvlo = dvhi = dpb = 0
+            de = None
+            dk = 0
+            if nxp:
+                # The address space is held for the window; the block's
+                # entry check proved one is installed.
+                space = provider()
+            code_lo = space.exec_lo
+            code_hi = space.exec_hi
+            action = _EXIT
+            while True:
+                if i == nops:
+                    itp.pc = block.exit_pc
                     break
-                i += 1
-            elif kind == K_HLOAD or kind == K_POP:
-                addr = op[3]()
-                size = op[4]
-                try:
-                    delta = tcache.entry(addr)[0]
-                except PageFault:
-                    delta = None
-                if delta is not None and mm.host_dram_contains(addr + delta):
+                op = ops[i]
+                kind = op[0]
+                pc_i = op[1]
+                cost = op[2]
+                if nxp and (cost or kind != K_LOOP):
+                    # -- I-fetch replay (not for the synthetic loop marker) --
+                    if pc_i >> run_shift == fvline:
+                        fk += 1
+                        t += tlb_hit_ns
+                        t += icache_hit_ns
+                        pauses += 2
+                    elif i == filled:
+                        filled = -1  # its fetch ended the last window
+                    else:
+                        if fk:
+                            itlb.touch(fe, fk)
+                            icache.touch(fpaddr, fk)
+                            c_fetch.value += fk
+                            fk = 0
+                        fe = itlb.probe(pc_i)
+                        if fe is None or not fe.nx:
+                            itp.pc = pc_i
+                            self._note_bail("itlb")
+                            break
+                        itlb.touch(fe)  # counted hit + LRU, as fetch would
+                        fpaddr = fe.pbase | (pc_i - fe.vbase)
+                        c_fetch.value += 1
+                        if not icache.access(fpaddr):
+                            # I-cache miss: the port's own fill path
+                            # (TLB-hit pause + cross-PCIe line fill, all
+                            # real events) after the flush.
+                            filled = i
+                            action = _FILL
+                            break
+                        fvline = pc_i >> run_shift
+                        t += tlb_hit_ns
+                        t += icache_hit_ns
+                        pauses += 2
+                t += cost
+                pauses += 1
+                n += 1
+                if kind == K_SIMPLE:
+                    fn = op[3]
+                    if fn is not None:
+                        try:
+                            fn()
+                        except BaseException as exc:
+                            itp.pc = pc_i
+                            self._note_bail("fault")
+                            fault = exc
+                            action = _RAISE
+                            break
+                    i += 1
+                elif kind == K_NLOAD or kind == K_NSTORE:
+                    addr = (R[op[3]] + op[4]) & MASK64
+                    size = op[5]
+                    if dvlo <= addr < dvhi:
+                        hit = de
+                        paddr = dpb | (addr - dvlo)
+                    else:
+                        hit = dtlb.probe(addr)
+                        if hit is not None:
+                            paddr = hit.pbase | (addr - hit.vbase)
+                    if hit is not None and (kind == K_NLOAD or hit.writable):
+                        bram = bram_lo <= paddr < bram_hi
+                        if bram or remap_lo <= paddr < remap_hi:
+                            # Fast replay of port.load/store's BRAM and
+                            # local-window routes: a D-TLB hit, booked
+                            # with its page run, then the same route
+                            # bookkeeping, with the pauses consolidated.
+                            if hit is not de:
+                                if dk:
+                                    dtlb.touch(de, dk)
+                                de = hit
+                                dk = 0
+                                dvlo = hit.vbase
+                                dvhi = dvlo + hit.page_size
+                                dpb = hit.pbase
+                            dk += 1
+                            t += tlb_hit_ns
+                            pauses += 2
+                            in_page = paddr & 4095
+                            page = frames.get(paddr >> 12) if in_page + size <= 4096 else None
+                            if kind == K_NLOAD:
+                                c_load.value += 1
+                                if bram:
+                                    t += bram_ns
+                                else:
+                                    for base, span in windows:
+                                        if base <= paddr < base + span:
+                                            cached = dcache.access(paddr)
+                                            break
+                                    else:
+                                        cached = False
+                                    t += icache_hit_ns if cached else local_read_ns
+                                    c_load_local.value += 1
+                                if page is None:
+                                    data = phys.read(paddr, size)
+                                else:
+                                    data = page[in_page : in_page + size]
+                                rd = op[6]
+                                if rd is not None:
+                                    R[rd] = int.from_bytes(data, "little")
+                                i += 1
+                                continue
+                            c_store.value += 1
+                            if addr < code_hi and code_lo < addr + size:
+                                space.note_code_store(addr, size)
+                            data = (R[op[6]] & op[7]).to_bytes(size, "little")
+                            if bram:
+                                t += bram_ns
+                            else:
+                                for base, span in windows:
+                                    if base <= paddr < base + span:
+                                        dcache.invalidate_range(paddr, size)
+                                        break
+                                t += local_write_ns
+                            if page is None:
+                                phys.write(paddr, data)
+                            else:
+                                page[in_page : in_page + size] = data
+                            if space.code_generation != gen:
+                                itp.pc = op[8]
+                                self.invalidate("self_modify")
+                                break
+                            i += 1
+                            continue
+                    # D-TLB miss, write-protect or cross-PCIe route: the
+                    # port performs the whole access (walker, link
+                    # contention and any page fault are real, at a
+                    # precise pc).
+                    itp.pc = pc_i
+                    if kind == K_NLOAD:
+                        rd = op[6]
+                        action = _LOAD
+                    else:
+                        data = (R[op[6]] & op[7]).to_bytes(size, "little")
+                        action = _STORE
+                    break
+                elif kind == K_GUARD:
+                    if op[3]():
+                        idx = op[5]
+                        if idx >= 0:
+                            i = idx
+                        elif idx == LOOP_RESTART:
+                            action = _RESTART
+                            break
+                        else:  # GUARD_EXIT
+                            itp.pc = op[4]
+                            break
+                    else:
+                        i += 1
+                elif kind == K_HLOAD or kind == K_POP:
+                    addr = op[3]()
+                    size = op[4]
+                    rd = op[5]
+                    try:
+                        delta = tcache.entry(addr)[0]
+                    except PageFault:
+                        delta = None
+                    if delta is None or not mm.host_dram_contains(addr + delta):
+                        # Translation fault or cross-PCIe route: the
+                        # port performs the whole access (the fault and
+                        # the link traffic are real, at a precise pc).
+                        itp.pc = pc_i
+                        action = _LOAD
+                        break
                     c_load.value += 1
                     t += cached_ns
                     pauses += 1
                     value = int.from_bytes(phys.read(addr + delta, size), "little")
-                else:
-                    # Translation fault or cross-PCIe route: flush, then
-                    # delegate the whole access to the port (the fault
-                    # and the link traffic are real, at a precise pc).
-                    itp.pc = pc_i
-                    wake = self._flush(n, pauses, t, t0)
-                    if wake is not None:
-                        yield wake
-                    n = pauses = 0
+                    if kind == K_POP:
+                        R[sp_reg] = (addr + 8) & MASK64
+                    if rd is not None:
+                        R[rd] = value
+                    i += 1
+                elif kind == K_HSTORE:
+                    addr = op[3]()
+                    size = op[4]
                     try:
-                        data = yield from port.load(addr, size)
+                        delta, writable, _nx = tcache.entry(addr)
                     except PageFault:
-                        self._note_bail("fault")
-                        raise
-                    value = int.from_bytes(data, "little")
-                    t0 = t = sim.now
-                if kind == K_POP:
-                    rwrite(sp_reg, addr + 8)
-                rwrite(op[5], value)
-                i += 1
-            elif kind == K_HSTORE:
-                addr = op[3]()
-                size = op[4]
-                try:
-                    delta, writable, _nx = tcache.entry(addr)
-                except PageFault:
-                    writable = False
-                if writable and mm.host_dram_contains(addr + delta):
+                        writable = False
+                    data = op[5]().to_bytes(size, "little")
+                    if not writable or not mm.host_dram_contains(addr + delta):
+                        # Translation fault, write-protect or cross-PCIe:
+                        # port.store counts, pauses and faults exactly as
+                        # the interpreter's slow path would.
+                        itp.pc = pc_i
+                        action = _STORE
+                        break
                     c_store.value += 1
-                    tables.note_code_store(addr, size)
+                    if addr < code_hi and code_lo < addr + size:
+                        space.note_code_store(addr, size)
                     t += cached_ns
                     pauses += 1
-                    phys.write(addr + delta, op[5]().to_bytes(size, "little"))
-                else:
-                    # Translation fault, write-protect or cross-PCIe:
-                    # flush, delegate; port.store counts, pauses and
-                    # faults exactly as the interpreter's slow path would.
-                    itp.pc = pc_i
-                    wake = self._flush(n, pauses, t, t0)
-                    if wake is not None:
-                        yield wake
-                    n = pauses = 0
-                    try:
-                        yield from port.store(addr, op[5]().to_bytes(size, "little"))
-                    except PageFault:
-                        self._note_bail("fault")
-                        raise
-                    t0 = t = sim.now
-                if port.code_generation != gen:
-                    # Self-modifying store: the instruction is complete;
-                    # exit before running stale code.
-                    itp.pc = op[6]
-                    self.invalidate("self_modify")
+                    phys.write(addr + delta, data)
+                    if space.code_generation != gen:
+                        # Self-modifying store: the instruction is
+                        # complete; exit before running stale code.
+                        itp.pc = op[6]
+                        self.invalidate("self_modify")
+                        break
+                    i += 1
+                else:  # K_LOOP
+                    if not cost:
+                        # Synthetic fall-through marker, not an
+                        # instruction: undo the blanket per-op charge.
+                        pauses -= 1
+                        n -= 1
+                    action = _RESTART
                     break
-                i += 1
-            else:  # K_LOOP
-                if not cost:
-                    # Synthetic fall-through marker, not an instruction:
-                    # undo the blanket per-op charge applied above.
-                    pauses -= 1
-                    n -= 1
-                wake = self._flush(n, pauses, t, t0)
-                if wake is not None:
-                    yield wake
-                n = pauses = 0
-                t0 = t = sim.now
+
+            # The window ends here: commit the pending runs (nothing
+            # else has seen these structures since they began), then
+            # settle the window.
+            if fk:
+                itlb.touch(fe, fk)
+                icache.touch(fpaddr, fk)
+                c_fetch.value += fk
+            if dk:
+                dtlb.touch(de, dk)
+            wake = self._flush(n, pauses, t, t0)
+            if wake is not None:
+                yield wake
+            if action == _RESTART:
                 if port.code_generation != gen:
                     itp.pc = entry
                     self.invalidate("codegen")
                     return
                 i = 0
-        # Normal exit (fell off the end, guard taken, self-modify stop).
-        wake = self._flush(n, pauses, t, t0)
-        if wake is not None:
-            yield wake
+            elif action == _FILL:
+                yield from port.fill_after_hit(fpaddr)
+            elif action == _LOAD:
+                if nxp:
+                    data = yield from port.load(addr, size)
+                else:
+                    try:
+                        data = yield from port.load(addr, size)
+                    except PageFault:
+                        self._note_bail("fault")
+                        raise
+                    if kind == K_POP:
+                        R[sp_reg] = (addr + 8) & MASK64
+                if rd is not None:
+                    R[rd] = int.from_bytes(data, "little")
+                i += 1
+            elif action == _STORE:
+                if nxp:
+                    yield from port.store(addr, data)
+                else:
+                    try:
+                        yield from port.store(addr, data)
+                    except PageFault:
+                        self._note_bail("fault")
+                        raise
+                if port.code_generation != gen:
+                    itp.pc = op[-1]
+                    self.invalidate("self_modify")
+                    return
+                i += 1
+            elif action == _RAISE:
+                raise fault
+            else:  # _EXIT
+                return
 
     def _flush(self, n: int, pauses: int, t: float, t0: float):
         """Settle a flush window of :meth:`execute`: count its ``n``
@@ -878,39 +1010,16 @@ class _Unsupported:
 _UNSUPPORTED = _Unsupported()
 
 
-def _alu_add(a, b):
-    return a + b
-
-
-def _alu_sub(a, b):
-    return a - b
-
-
-def _alu_mul(a, b):
-    return a * b
-
-
-def _alu_and(a, b):
-    return a & b
-
-
-def _alu_or(a, b):
-    return a | b
-
-
-def _alu_xor(a, b):
-    return a ^ b
-
-
-#: Wrap-around ops inlined without the :meth:`Interpreter._alu` chain
-#: (``RegisterFile.write`` masks to 64 bits, exactly like the slow path).
+#: Wrap-around ops run as the C-level ``operator`` functions instead of
+#: the :meth:`Interpreter._alu` chain (the closure masks the result to
+#: 64 bits, exactly like the slow path's ``RegisterFile.write``).
 _ALU_FAST = {
-    Op.ADD: _alu_add,
-    Op.SUB: _alu_sub,
-    Op.MUL: _alu_mul,
-    Op.AND: _alu_and,
-    Op.OR: _alu_or,
-    Op.XOR: _alu_xor,
+    Op.ADD: operator.add,
+    Op.SUB: operator.sub,
+    Op.MUL: operator.mul,
+    Op.AND: operator.and_,
+    Op.OR: operator.or_,
+    Op.XOR: operator.xor,
 }
 
 #: Everything else routes through ``Interpreter._alu`` for bit-exact
@@ -918,3 +1027,8 @@ _ALU_FAST = {
 _ALU_SLOW = frozenset(
     (Op.DIV, Op.REM, Op.SHL, Op.SHR, Op.SAR, Op.SLT, Op.SLTU, Op.SEQ, Op.SNE)
 )
+
+#: Ops :meth:`JitEngine._compile_sync` compiles whose only effect is the
+#: ``rd`` write and which cannot fault: into the zero register they are
+#: no-ops.
+_RD_WRITERS = frozenset((Op.ADDI, Op.MOV, Op.LI, Op.LIH)) | frozenset(_ALU_FAST)

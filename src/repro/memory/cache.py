@@ -12,7 +12,8 @@ caller charges the appropriate latency.
 Lines are indexed, not scanned: one ``line -> lru stamp`` dict plus a
 resident list per set.  Every hit and fill takes the next value of one
 integer stamp per cache, so a set's least-recently-used line is its
-minimum-stamp line however the index is laid out.
+minimum-stamp line however the index is laid out, and ``n`` hits in a
+row on one line can be committed at once (:meth:`Cache.touch`).
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ class Cache:
         cache_set.append(line)
         stamps[line] = self._stamp
         return False
+
+    def touch(self, addr: int, n: int = 1) -> None:
+        """Commit ``n`` hits on the resident line holding ``addr``:
+        exactly the bookkeeping of ``n`` hitting :meth:`access` calls in
+        a row (the line takes the ``n``-th next stamp, the hit counter
+        rises by ``n``).  The JIT tier books a run of fetches on one
+        I-cache line this way (repro.isa.jit)."""
+        self._stamp += n
+        self._stamps[addr >> self._shift] = self._stamp
+        self._c_hit.value += n
 
     def probe(self, addr: int) -> bool:
         """Non-mutating presence check (no LRU update, no stats)."""

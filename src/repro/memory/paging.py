@@ -128,6 +128,12 @@ class PageTables:
         #: their validity off this (see repro.isa.interpreter).
         self.code_generation = 0
         self._exec_ranges: List[Tuple[int, int]] = []
+        #: Envelope of the registered executable ranges: a store to
+        #: ``[vaddr, vaddr + n)`` can overlap one only if ``vaddr <
+        #: exec_hi`` and ``exec_lo < vaddr + n``.  Empty (0, 0) until
+        #: the first range.
+        self.exec_lo = 0
+        self.exec_hi = 0
         self.cr3 = self._alloc_table_frame()
 
     # -- construction ----------------------------------------------------------
@@ -258,6 +264,11 @@ class PageTables:
         writes), invalidating any decoded-instruction cache built over
         this address space.
         """
+        if self._exec_ranges:
+            self.exec_lo = min(self.exec_lo, vaddr)
+            self.exec_hi = max(self.exec_hi, vaddr + size)
+        else:
+            self.exec_lo, self.exec_hi = vaddr, vaddr + size
         self._exec_ranges.append((vaddr, size))
         self.code_generation += 1
 

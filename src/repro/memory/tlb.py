@@ -8,8 +8,9 @@ two Flick-specific features the paper adds:
   decodes its local DRAM, and writes it into a TLB control register.
   Translated physical addresses falling inside the BAR window are
   adjusted so the access is routed to local DRAM instead of looping back
-  over PCIe (Fig. 3).  The NxP memory port and the JIT test an access
-  against the window's bounds (:attr:`TLB.remap`).
+  over PCIe (Fig. 3).  The window's bounds (:attr:`RemapWindow.lo`,
+  :attr:`RemapWindow.hi`) are fixed when the register is programmed,
+  and every consumer of :attr:`TLB.remap` tests an access against them.
 * **Inverted NX sense** — handled by the consumer passing
   ``invert_nx=True`` to permission checks; the TLB stores the NX bit
   verbatim.
@@ -24,7 +25,7 @@ looks like.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.paging import Translation
@@ -47,13 +48,24 @@ class TLBEntry:
         return self.pbase | (vaddr - self.vbase)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RemapWindow:
-    """The BAR-remap control register contents."""
+    """The BAR-remap control register contents.
+
+    ``lo <= paddr < hi`` is the window test.  An unprogrammed register
+    (``size`` 0) or a non-positive size gives ``hi == lo``, a window
+    that captures nothing.
+    """
 
     bar_base: int = 0
     size: int = 0
     offset: int = 0  # host BAR address - NxP local address
+    lo: int = field(init=False)
+    hi: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lo", self.bar_base)
+        object.__setattr__(self, "hi", self.bar_base + max(self.size, 0))
 
 
 class TLB:
@@ -114,12 +126,16 @@ class TLB:
                 return entry
         return None
 
-    def touch(self, entry: TLBEntry) -> None:
-        """Count a hit on ``entry``, which :meth:`probe` just returned:
-        exactly the bookkeeping of a hitting :meth:`lookup`."""
-        self._stamp += 1
+    def touch(self, entry: TLBEntry, n: int = 1) -> None:
+        """Commit ``n`` hits on ``entry``, which :meth:`probe` returned
+        and nothing has evicted since: exactly the bookkeeping of ``n``
+        hitting :meth:`lookup` calls in a row.  Each hit takes the next
+        stamp of the one per-TLB sequence, so ``n`` of them leave the
+        entry on the ``n``-th and the hit counter ``n`` higher.  The JIT
+        tier books a run of hits on one page this way (repro.isa.jit)."""
+        self._stamp += n
         entry.lru_stamp = self._stamp
-        self._c_hit.value += 1
+        self._c_hit.value += n
 
     def insert(self, tr: Translation) -> TLBEntry:
         """Install a translation, evicting the LRU entry when full."""

@@ -1,10 +1,12 @@
-"""The two interpreted microloops and the all-off reference config.
+"""The interpreted microloops and the all-off reference config.
 
 Shared by the fast-path and JIT parity suites, the drift pin and the
 speedup floors.  The null-call loop makes every iteration a full Flick
 migration, so it exercises interpreter, ports, TLBs, DMA and the DES
 engine together.  The compute loop stays on the host core and isolates
 pure interpreter + decode overhead (and, with the JIT on, superblocks).
+The NxP loop runs resident on the NxP core, so with the JIT on its
+superblocks replay the NxP's I-fetch and BRAM stack traffic.
 """
 
 from repro.core.config import FlickConfig
@@ -26,6 +28,18 @@ func main(n) {
     while (i < n) { acc = acc * 3 + i; i = i + 1; }
     return acc;
 }
+"""
+
+#: A NISA-side hot loop: the whole body (including the BRAM stack
+#: spills the compiler emits) must compile on the NxP interpreter.
+NXP_LOOP = """
+@nxp func work(n) {
+    var acc = 0;
+    var i = 0;
+    while (i < n) { acc = acc + i * 2; i = i + 1; }
+    return acc;
+}
+func main(n) { return work(n); }
 """
 
 

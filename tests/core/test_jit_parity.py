@@ -20,20 +20,8 @@ from repro.core.hosted import HostedMachine, HostedProgram
 from repro.core.machine import FlickMachine
 from repro.sim.faults import FaultPlan, FaultRule
 
-from .microloops import COMPUTE_LOOP, NULL_CALL_LOOP, slow_config
+from .microloops import COMPUTE_LOOP, NULL_CALL_LOOP, NXP_LOOP, slow_config
 from .pooled_processes import ADDEND, LOOPS, pooled_machine, run_interleaved, serve
-
-#: A NISA-side hot loop: the whole body (including the BRAM stack
-#: spills the compiler emits) must compile on the NxP interpreter.
-NXP_LOOP = """
-@nxp func work(n) {
-    var acc = 0;
-    var i = 0;
-    while (i < n) { acc = acc + i * 2; i = i + 1; }
-    return acc;
-}
-func main(n) { return work(n); }
-"""
 
 #: Armed but quiet: activates every hardened path, never fires
 #: (tests/core/test_fault_parity.py).

@@ -9,6 +9,9 @@ themselves on the wall clock:
   faster with every fast path on than with all of them off, and the
   tracing JIT does not make it slower (no-JIT / all-on >= 0.9);
 * the compute loop runs >= 10x faster, and the JIT alone gives >= 1.5x;
+* the NxP-resident loop runs >= 6x faster, and the JIT alone gives
+  >= 2.7x: its superblocks replay the NxP's I-fetch and D-TLB work
+  per I-cache line and per page, not per instruction;
 * hosted op batching runs the million-access pointer chase >= 2x faster
   than the per-op path, with the same retval, simulated ns and stats.
 
@@ -31,7 +34,7 @@ from repro.core.hosted import HostedMachine
 from repro.core.machine import FlickMachine
 from repro.workloads.pointer_chase import _make_program, build_chain
 
-from .microloops import COMPUTE_LOOP, NULL_CALL_LOOP, slow_config
+from .microloops import COMPUTE_LOOP, NULL_CALL_LOOP, NXP_LOOP, slow_config
 
 pytestmark = pytest.mark.perf
 
@@ -48,6 +51,7 @@ MICROLOOP_CONFIGS = {
 MICROLOOP_FLOORS = {
     "null_call_loop": (NULL_CALL_LOOP, 400, 2.0, 0.9),
     "compute_loop": (COMPUTE_LOOP, 4000, 10.0, 1.5),
+    "nxp_loop": (NXP_LOOP, 3000, 6.0, 2.7),
 }
 
 HOSTED_ACCESSES = 1_000_000

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa import assemble
-from repro.isa.base import IsaFault, IllegalInstruction, MisalignedFetch
+from repro.isa.base import MASK64, IsaFault, IllegalInstruction, MisalignedFetch, RegisterFile
 from repro.isa.interpreter import (
     EnvCall,
     Halted,
@@ -451,3 +451,22 @@ class TestTiming:
         _sim, cpu = make_cpu("hisa", port)
         with pytest.raises(ValueError):
             cpu.set_args(list(range(7)))  # HISA has 6 arg registers
+
+
+class TestRegisterFile:
+    """Compiled superblocks index the register list directly, so
+    ``restore`` must keep the list object and a zero zero-register slot."""
+
+    def test_restore_keeps_the_list_object(self):
+        regs = RegisterFile(4)
+        values = regs._regs
+        regs.restore([1, 2, -1, 3])
+        assert regs._regs is values
+        assert values == [1, 2, MASK64, 3]
+
+    def test_restore_zeroes_the_zero_register_slot(self):
+        regs = RegisterFile(4, zero_reg=0)
+        regs.restore([7, 1, 2, 3])
+        assert regs._regs[0] == 0 == regs.read(0)
+        assert [regs.read(i) for i in range(4)] == regs._regs == [0, 1, 2, 3]
+        assert regs.snapshot() == [0, 1, 2, 3]

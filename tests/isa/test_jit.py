@@ -11,7 +11,7 @@ bit-identical to the interpreter.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.isa.jit as jit_module
@@ -244,3 +244,106 @@ func main(n) {{
         jit_hot_threshold=threshold, jit_max_superblock=max_superblock
     )
     assert run(jit_cfg) == run(FlickConfig(jit_enabled=False))
+
+
+#: The NxP loop body's statements: a table load, a table store, stack-only
+#: arithmetic and an ``if``, drawn in any order.
+_NXP_BODY = (
+    "acc = acc + load(table + (i % 8) * 8);",
+    "store(table + ((i + 3) % 8) * 8, acc + i);",
+    "acc = acc * 3 + i;",
+    "if (acc % 3 == 1) { acc = acc + 7; }",
+)
+#: Stack-only statements of different instruction counts (2, 8 and 14
+#: NISA instructions), so loop closes and guards land at different
+#: offsets within an I-cache line.
+_NXP_EXTRA = ("acc = i;", "acc = acc + 1;", "acc = acc - i * 2;")
+
+
+@st.composite
+def _nxp_bodies(draw):
+    extras = draw(st.lists(st.sampled_from(_NXP_EXTRA), max_size=4))
+    return draw(st.permutations(list(_NXP_BODY) + extras))
+
+
+def _tlb_state(tlb):
+    return sorted(
+        (e.vbase, e.page_size, e.pbase, e.writable, e.nx, e.lru_stamp)
+        for _shift, pages in tlb._resident
+        for e in pages.values()
+    )
+
+
+#: Pinned draws.  With a one-entry D-TLB every switch between the stack
+#: page and the table page is a slow-path walk that evicts the other
+#: page, so a D-TLB run kept across one shows; the extra 2-instruction
+#: statement puts the loop close mid-line, so a fetch run dropped there
+#: shows; with four entries both pages stay resident and the data runs
+#: alternate, so a run committed to the wrong entry shows in the stamps.
+_PINNED_BODY = list(_NXP_BODY) + ["acc = i;"]
+
+
+@settings(max_examples=25, deadline=None)
+@example(_PINNED_BODY, 20, 1, 256, 2, 256)
+@example(_PINNED_BODY, 20, 4, 256, 2, 256)
+@given(
+    body=_nxp_bodies(),
+    n=st.integers(min_value=0, max_value=40),
+    tlb_entries=st.integers(min_value=1, max_value=4),
+    icache_lines=st.integers(min_value=1, max_value=64).map(lambda k: 4 * k),
+    threshold=st.integers(min_value=1, max_value=30),
+    max_superblock=st.integers(min_value=2, max_value=256),
+)
+def test_randomized_nxp_loops_keep_tlb_and_cache_state(
+    body, n, tlb_entries, icache_lines, threshold, max_superblock
+):
+    """Property: an ``@nxp`` loop over an ``nxp_alloc``'d table leaves
+    the NxP's I-TLB, D-TLB, I-cache and D-cache exactly as the
+    interpreter does, resident entries and lines down to their LRU
+    stamps, besides the usual observables.  The superblock executor
+    books fetches per I-cache line run and D-TLB hits per page run and
+    commits each run later; a run committed to the wrong entry, dropped,
+    or kept across a slow-path access changes these stamps even where
+    the counters still agree."""
+    statements = "\n        ".join(body)
+    source = f"""
+@nxp func nxp_alloc(n) {{ return alloc(n); }}
+
+@nxp func work(table, n) {{
+    var acc = 1;
+    var i = 0;
+    while (i < n) {{
+        {statements}
+        i = i + 1;
+    }}
+    return acc;
+}}
+
+func main(n) {{
+    var table = nxp_alloc(64);
+    return work(table, n);
+}}
+"""
+
+    def run(cfg):
+        machine = FlickMachine(cfg)
+        outcome = machine.run_program(source, args=[n])
+        port = machine.devices[0].platform.port
+        return (
+            outcome.retval,
+            outcome.sim_time_ns,
+            outcome.stats,
+            machine.sim.events_processed,
+            _tlb_state(port.itlb),
+            _tlb_state(port.dtlb),
+            dict(port.icache._stamps),
+            dict(port.dcache._stamps),
+        )
+
+    cfg = FlickConfig(
+        tlb_entries=tlb_entries,
+        nxp_icache_lines=icache_lines,
+        jit_hot_threshold=threshold,
+        jit_max_superblock=max_superblock,
+    )
+    assert run(cfg) == run(cfg.with_overrides(jit_enabled=False))

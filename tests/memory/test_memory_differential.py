@@ -4,7 +4,9 @@ reference models (``reference_models.py``).
 Each test drives a new structure and its reference through one random
 operation sequence and, after every step, requires equal return values,
 equal hit/miss/evict/flush counters and equal resident sets, down to
-each entry's LRU stamp.
+each entry's LRU stamp.  The sequences include the batched commits,
+``TLB.touch(entry, n)`` and ``Cache.touch(addr, n)``, each checked
+against ``n`` single hits on the reference.
 """
 
 from hypothesis import given, settings
@@ -53,6 +55,9 @@ _tlb_op = st.one_of(
     ),
     st.tuples(st.just("lookup"), st.integers(0, len(PAGES) - 1), _offsets),
     st.tuples(st.just("probe_touch"), st.integers(0, len(PAGES) - 1), _offsets),
+    st.tuples(
+        st.just("touch_n"), st.integers(0, len(PAGES) - 1), _offsets, st.integers(1, 9)
+    ),
     st.tuples(st.just("miss"), st.sampled_from(UNMAPPED)),
     st.tuples(st.just("flush")),
 )
@@ -90,6 +95,18 @@ def test_tlb_matches_list_scan_reference(capacity, ops):
                 new.touch(got)
                 ref.lookup(vaddr)
                 assert _entry(got) == _entry(want)
+        elif kind == "touch_n":
+            # A run of n hits on one page committed at once (the JIT's
+            # D-TLB and I-TLB runs) against n counted lookups.
+            vaddr, n = _vaddr(op[1], op[2]), op[3]
+            got = new.probe(vaddr)
+            if got is not None:
+                assert new.touch(got, n) is None
+                for _ in range(n):
+                    want = ref.lookup(vaddr)
+                assert _entry(got) == _entry(want)
+            else:
+                assert ref.probe(vaddr) is None
         elif kind == "miss":
             assert new.probe(op[1]) is None and ref.probe(op[1]) is None
             assert new.lookup(op[1]) is None and ref.lookup(op[1]) is None
@@ -119,6 +136,7 @@ def _ref_cache_resident(ref):
 _cache_op = st.one_of(
     st.tuples(st.just("access"), st.integers(0, 4095)),
     st.tuples(st.just("probe"), st.integers(0, 4095)),
+    st.tuples(st.just("touch_n"), st.integers(0, 4095), st.integers(1, 9)),
     st.tuples(st.just("invalidate"), st.integers(0, 4095), st.integers(0, 300)),
     st.tuples(st.just("flush")),
 )
@@ -140,6 +158,15 @@ def test_cache_matches_list_scan_reference(ways, sets, line_bytes, ops):
             assert new.access(op[1]) == ref.access(op[1])
         elif kind == "probe":
             assert new.probe(op[1]) == ref.probe(op[1])
+        elif kind == "touch_n":
+            # n hits on one resident line committed at once (the JIT's
+            # I-cache fetch run) against n hitting accesses.
+            addr, n = op[1], op[2]
+            if new.probe(addr):
+                assert new.touch(addr, n) is None
+                assert all(ref.access(addr) for _ in range(n))
+            else:
+                assert not ref.probe(addr)
         elif kind == "invalidate":
             new.invalidate_range(op[1], op[2])
             ref.invalidate_range(op[1], op[2])

@@ -189,3 +189,20 @@ class TestRemap:
         self.tlb.remap = RemapWindow()  # what a fresh TLB holds
         assert TLB("fresh").remap == self.tlb.remap
         assert self.route(0x100_000 + 5) == ("pcie", "pcie")
+
+    @pytest.mark.parametrize(
+        "window",
+        [RemapWindow(), RemapWindow(BAR, 0, BAR - LOCAL), RemapWindow(BAR, -PAGE_4K, 0)],
+        ids=["unprogrammed", "zero_size", "negative_size"],
+    )
+    def test_empty_window_captures_no_edge(self, window):
+        assert window.hi == window.lo == window.bar_base
+        self.tlb.remap = window
+        for vaddr in (0x100_000, 0x101_FFF, 0x102_000, 0x103_FFF, 0x104_000):
+            assert self.route(vaddr) == ("pcie", "pcie")
+
+    def test_window_bounds_fixed_when_programmed(self):
+        window = self.tlb.remap
+        assert (window.lo, window.hi) == (self.BAR, self.BAR + 4 * GB)
+        self.tlb.program_remap(self.BAR, 0, 0)
+        assert self.tlb.remap.lo == self.tlb.remap.hi == self.BAR
