@@ -37,8 +37,9 @@ the DES event count (one timed event per consolidated yield) differs.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.config import FlickConfig
 from repro.core.descriptors import (
@@ -52,7 +53,7 @@ from repro.core.host_runtime import HostMigrationHandler
 from repro.core.machine import FlickMachine
 from repro.core.nxp_platform import NxpMigrationHandler
 from repro.core.ports import TranslationCache
-from repro.memory.tlb import TLB
+from repro.memory.tlb import TLB, TLBEntry
 from repro.os.loader import create_address_space
 from repro.os.task import Task, TaskState
 from repro.sim.engine import Deadlock, Event
@@ -68,6 +69,8 @@ _FLUSH_THRESHOLD_NS = 50_000.0
 _FS_PER_NS = 1_000_000
 _NS_PER_FS = 1e-6
 _FLUSH_THRESHOLD_FS = int(_FLUSH_THRESHOLD_NS) * _FS_PER_NS
+
+_U64 = struct.Struct("<Q")  # one little-endian pointer, as both ISAs store it
 
 
 @dataclass
@@ -237,88 +240,59 @@ class HostedContext:
         ``compute_cycles`` per hop — the batched kernel for linked-data
         traversals (Fig. 5's inner loop).
 
-        Per hop this performs exactly the ops of ``load`` + ``compute``
-        in the same order — same access-latency model (TLB state
-        included), same translations, same stat counters — with the
-        loop-invariant lookups hoisted out of the hot loop.
+        The node returned, the charge and every stat counter equal those
+        of ``count`` rounds of :meth:`load` + :meth:`compute`, down to
+        the D-TLB's LRU stamps.  One loop serves every side, a page run
+        at a time.  A hop that enters a page (the first of the call, and
+        each that leaves the current page) takes the reference
+        :meth:`HostedMachine.access_latency` call, and
+        :meth:`HostedMachine.page_run` then memoizes the page: its
+        bounds, paddr delta and price.  A hop inside the page is one
+        bounds test, one add and one frame-index read.  On the NxP its
+        D-TLB hit is only counted: the run's hits are committed with one
+        :meth:`TLB.touch` before the next reference call, at return, and
+        when a page fault ends the chase.
         """
         executor = self._executor
-        entry = executor._tcache.entry
+        side = self.side
+        latency = executor.access_latency
+        page_run = executor.page_run
+        touch = executor._nxp_dtlb.touch
         phys = self.machine.phys
-        read_u64 = phys.read_u64
         # Each hop's 8-byte read probes PhysicalMemory's frame index
-        # inline; an untouched page, a page straddle or MMIO falls back
-        # to phys.read_u64.
+        # inline; an untouched frame (KeyError), a frame straddle
+        # (struct.error) or MMIO falls back to phys.read_u64.
         frames = phys._frames
+        read_u64 = phys.read_u64
+        unpack = _U64.unpack_from
         step_fs = round(self._cycle_ns(compute_cycles) * _FS_PER_NS) if compute_cycles else 0
         charged = self._charged_fs
         node = vaddr
-        bram_lo, bram_hi = executor._bram_lo, executor._bram_hi
-        if self.side != "nxp":  # host, or fallback emulation on a host core
-            # access_latency's host branch, unrolled: translate, then
-            # three bounds checks pick a precomputed fs constant (same
-            # float sums, same round, so the charge is bit-identical).
-            dram_lo, dram_hi = executor._host_dram_lo, executor._host_dram_hi
-            fs_cached = round(executor._lat_host_cached * _FS_PER_NS) + step_fs
-            fs_bram = round(executor._lat_host_bram * _FS_PER_NS) + step_fs
-            fs_bar = round(executor._lat_host_bar_read * _FS_PER_NS) + step_fs
-            for _ in range(count):
-                paddr = node + entry(node)[0]
-                if dram_lo <= paddr < dram_hi:
-                    charged += fs_cached
-                elif bram_lo <= paddr < bram_hi:
-                    charged += fs_bram
+        lo = hi = delta = hop_fs = 0  # the page memo, empty until the first hop
+        run = None  # D-TLB entry hit by the hops after ``entered``, not yet committed
+        i = entered = 0
+        try:
+            for i in range(count):
+                if lo <= node < hi:
+                    charged += hop_fs
+                    paddr = node + delta
                 else:
-                    charged += fs_bar
-                in_page = paddr & 4095
-                page = frames.get(paddr >> 12) if in_page <= 4088 else None
-                if page is not None:
-                    node = int.from_bytes(page[in_page : in_page + 8], "little")
-                else:
+                    if run is not None and i - entered > 1:
+                        touch(run, i - entered - 1)
+                    run = None
+                    charged += round(latency(side, node, False) * _FS_PER_NS) + step_fs
+                    entered = i
+                    lo, hi, delta, ns, run = page_run(side, node)
+                    hop_fs = round(ns * _FS_PER_NS) + step_fs
+                    paddr = node + delta
+                try:
+                    node = unpack(frames[paddr >> 12], paddr & 4095)[0]
+                except (KeyError, struct.error):
                     node = read_u64(paddr)
+        finally:
+            if run is not None and i > entered:
+                touch(run, i - entered)
             self._charged_fs = charged
-            return node
-        # NxP side.  A hop inside the page of the last D-TLB entry used
-        # (``e``, a local memo) performs the bookkeeping of
-        # access_latency's TLB hit inline — TLB.touch's stamp bump,
-        # lru_stamp and hit counter — and charges a precomputed hit+route
-        # fs constant built from the same float sums access_latency
-        # returns.  Any other hop, and every hop when segment windows are
-        # configured, takes the reference access_latency call unchanged;
-        # it may insert or evict, so the memo is re-read after it.
-        latency = executor.access_latency
-        dtlb = executor._nxp_dtlb
-        hit_counter = dtlb._c_hit
-        remap_lo, remap_hi = dtlb.remap.lo, dtlb.remap.hi
-        fs_hit_bram = round((executor._lat_tlb_hit + executor._lat_nxp_bram) * _FS_PER_NS) + step_fs
-        fs_hit_local = round((executor._lat_tlb_hit + executor._lat_nxp_local_read) * _FS_PER_NS) + step_fs
-        fs_hit_host = round((executor._lat_tlb_hit + executor._lat_nxp_host_read) * _FS_PER_NS) + step_fs
-        fast_ok = not executor.nxp_segments
-        e = None
-        for _ in range(count):
-            if e is not None and e.vbase <= node < e.vbase + e.page_size:
-                dtlb._stamp += 1
-                e.lru_stamp = dtlb._stamp
-                hit_counter.value += 1
-                paddr = e.pbase | (node - e.vbase)
-                if bram_lo <= paddr < bram_hi:
-                    charged += fs_hit_bram
-                elif remap_lo <= paddr < remap_hi:
-                    charged += fs_hit_local
-                else:
-                    charged += fs_hit_host
-            else:
-                charged += round(latency("nxp", node, False) * _FS_PER_NS) + step_fs
-                if fast_ok:
-                    e = dtlb.probe(node)
-                paddr = node + entry(node)[0]
-            in_page = paddr & 4095
-            page = frames.get(paddr >> 12) if in_page <= 4088 else None
-            if page is not None:
-                node = int.from_bytes(page[in_page : in_page + 8], "little")
-            else:
-                node = read_u64(paddr)
-        self._charged_fs = charged
         return node
 
     # -- calls ------------------------------------------------------------------
@@ -387,10 +361,10 @@ class HostedMachine:
             dev.platform = _HostedNxpEngine(self, dev)
         self._task: Optional[Task] = None
         self._thread: Optional[_HostedHostThread] = None
-        # Hot-path latency constants.  FlickConfig is frozen, so these
-        # derived values cannot change after construction; hoisting them
-        # out of access_latency (where several are @property recomputes)
-        # is a pure wall-clock optimization.
+        # Hot-path latency constants, read by access_latency and
+        # _route_ns only.  FlickConfig is frozen, so these derived values
+        # cannot change after construction; hoisting them (several are
+        # @property recomputes) is a pure wall-clock optimization.
         cfg = self.cfg
         mm = cfg.memory_map
         self._host_dram_lo = mm.host_dram_base
@@ -414,32 +388,14 @@ class HostedMachine:
 
     def access_latency(self, side: str, vaddr: int, write: bool) -> float:
         if side != "nxp":  # host, or degraded-mode emulation on a host core
-            paddr = vaddr + self._tcache.entry(vaddr)[0]
-            if self._host_dram_lo <= paddr < self._host_dram_hi:
-                return self._lat_host_cached
-            if self._bram_lo <= paddr < self._bram_hi:
-                return self._lat_host_bram
-            if write:
-                return self._lat_posted_write  # posted
-            return self._lat_host_bar_read
+            return self._route_ns(side, vaddr + self._tcache.entry(vaddr)[0], write)
         # NxP side: segment windows bypass the TLB entirely (O(1)
         # base+limit check in the memory pipeline).
-        if self.nxp_segments:
-            cfg = self.cfg
-            mm = cfg.memory_map
-            for seg_base, seg_size in self.nxp_segments:
-                if seg_base <= vaddr < seg_base + seg_size:
-                    self.machine.stats.count("hosted.nxp.segment_hit")
-                    paddr = self.process.page_tables.translate(vaddr).paddr
-                    if mm.bram_contains(paddr):
-                        return cfg.nxp_bram_ns
-                    if mm.bar0_contains(paddr):
-                        return cfg.nxp_to_local_write_ns if write else cfg.nxp_to_local_read_ns
-                    return (
-                        cfg.pcie_oneway_ns + 8 * cfg.pcie_ns_per_byte
-                        if write
-                        else cfg.nxp_to_host_read_ns
-                    )
+        for seg_base, seg_size in self.nxp_segments:
+            if seg_base <= vaddr < seg_base + seg_size:
+                self.machine.stats.count("hosted.nxp.segment_hit")
+                paddr = self.process.page_tables.translate(vaddr).paddr
+                return self._route_ns(side, paddr, write)
         # Otherwise: real TLB lookup, analytic walk cost on miss.
         dtlb = self._nxp_dtlb
         entry = dtlb.lookup(vaddr)
@@ -454,15 +410,64 @@ class HostedMachine:
             base = walk_cost
         else:
             base = self._lat_tlb_hit
-        paddr = entry.pbase | (vaddr - entry.vbase)
+        return base + self._route_ns(side, entry.pbase | (vaddr - entry.vbase), write)
+
+    def _route_ns(self, side: str, paddr: int, write: bool) -> float:
+        """What reaching ``paddr`` costs from ``side``'s core, translation
+        excluded: the one price of each hosted memory route.
+        :meth:`access_latency` prices every op through it, and
+        :meth:`page_run` every page run of a pointer chase."""
+        if side != "nxp":
+            if self._host_dram_lo <= paddr < self._host_dram_hi:
+                return self._lat_host_cached
+            if self._bram_lo <= paddr < self._bram_hi:
+                return self._lat_host_bram
+            return self._lat_posted_write if write else self._lat_host_bar_read
         if self._bram_lo <= paddr < self._bram_hi:
-            return base + self._lat_nxp_bram
-        remap = dtlb.remap
+            return self._lat_nxp_bram
+        remap = self._nxp_dtlb.remap
         if remap.lo <= paddr < remap.hi:
-            return base + (self._lat_nxp_local_write if write else self._lat_nxp_local_read)
-        if write:
-            return base + self._lat_posted_write
-        return base + self._lat_nxp_host_read
+            return self._lat_nxp_local_write if write else self._lat_nxp_local_read
+        return self._lat_posted_write if write else self._lat_nxp_host_read
+
+    def page_run(
+        self, side: str, vaddr: int
+    ) -> Tuple[int, int, int, float, Optional[TLBEntry]]:
+        """:meth:`HostedContext.chase`'s memo of the page holding
+        ``vaddr``, built right after the reference :meth:`access_latency`
+        call for it: ``(lo, hi, paddr - vaddr, ns, entry)``.
+
+        Until the D-TLB changes, a read of any address in ``[lo, hi)``
+        costs ``ns`` and, on the NxP, is a hit on ``entry`` (None on the
+        host).  The bounds are the translation page's, cut on the NxP to
+        the D-TLB entry's page, whose paddrs set the price.  The bounds
+        are empty, so that every hop takes the reference call, when
+        segment windows are configured and when a bound of a route
+        window falls inside the page: such a page has no one price.
+        """
+        lo, hi, delta = self._tcache.page(vaddr)
+        if side != "nxp":
+            entry = None
+            plo = lo + delta
+            bounds = (self._host_dram_lo, self._host_dram_hi, self._bram_lo, self._bram_hi)
+        elif self.nxp_segments:
+            return 0, 0, delta, 0.0, None
+        else:
+            # The reference call just looked this entry up or inserted it.
+            entry = self._nxp_dtlb.probe(vaddr)
+            lo = max(lo, entry.vbase)
+            hi = min(hi, entry.vbase + entry.page_size)
+            plo = entry.pbase + (lo - entry.vbase)
+            remap = self._nxp_dtlb.remap
+            bounds = (self._bram_lo, self._bram_hi, remap.lo, remap.hi)
+        phi = plo + (hi - lo)
+        for bound in bounds:
+            if plo < bound < phi:
+                return 0, 0, delta, 0.0, None
+        ns = self._route_ns(side, plo, False)
+        if entry is not None:
+            ns = self._lat_tlb_hit + ns
+        return lo, hi, delta, ns, entry
 
     def dispatch_call(self, ctx: HostedContext, name: str, args: List[int]) -> Generator:
         fn = self.program.functions[name]

@@ -44,29 +44,50 @@ class TranslationCache:
     One flat dict keyed by the 4 KB frame number holds a reusable
     ``(paddr - vaddr, writable, nx)`` tuple per frame, so a hit is a
     single probe with zero allocation; huge pages simply populate one
-    entry per 4 KB frame actually touched.  The memo is dropped whenever
-    the page tables change (generation counter).  It neither yields nor
-    counts stats; :meth:`PageTables.translate` is its reference
-    (``tests/core/test_ports.py`` holds the two equal).
+    entry per 4 KB frame actually touched.  A second dict of the same
+    keys holds each frame's translation page for :meth:`page`.  Both
+    are dropped whenever the page tables change (generation counter).
+    The memo neither yields nor counts stats; :meth:`PageTables.translate`
+    is its reference (``tests/core/test_ports.py`` holds the two equal).
     """
 
     def __init__(self, tables: PageTables):
         self.tables = tables
         self._flat: Dict[int, Tuple[int, bool, bool]] = {}
+        self._pages: Dict[int, Tuple[int, int, int]] = {}
         self._generation = tables.generation
+
+    def _drop(self) -> None:
+        self._flat.clear()
+        self._pages.clear()
+        self._generation = self.tables.generation
 
     def entry(self, vaddr: int) -> Tuple[int, bool, bool]:
         """Return ``(paddr - vaddr, writable, nx)`` for the page holding
         ``vaddr``, or raise the walk's :class:`PageFault`."""
         if self._generation != self.tables.generation:
-            self._flat.clear()
-            self._generation = self.tables.generation
+            self._drop()
         key = vaddr >> 12
         e = self._flat.get(key)
         if e is None:
             tr = self.tables.translate(vaddr)
             e = self._flat[key] = (tr.paddr - vaddr, tr.writable, tr.nx)
         return e
+
+    def page(self, vaddr: int) -> Tuple[int, int, int]:
+        """Return ``(vbase, vend, paddr - vaddr)`` for the translation
+        page (4 KB, 2 MB or 1 GB) holding ``vaddr``, or raise the walk's
+        :class:`PageFault`.  Hosted mode's pointer chase prices and reads
+        a run of hops inside one such page without translating each."""
+        if self._generation != self.tables.generation:
+            self._drop()
+        key = vaddr >> 12
+        p = self._pages.get(key)
+        if p is None:
+            tr = self.tables.translate(vaddr)
+            vbase = tr.page_base_vaddr
+            p = self._pages[key] = (vbase, vbase + tr.page_size, tr.paddr - vaddr)
+        return p
 
 
 class HostMemoryPort:

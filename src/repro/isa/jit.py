@@ -952,28 +952,22 @@ class JitEngine:
             elif action == _FILL:
                 yield from port.fill_after_hit(fpaddr)
             elif action == _LOAD:
-                if nxp:
+                try:
                     data = yield from port.load(addr, size)
-                else:
-                    try:
-                        data = yield from port.load(addr, size)
-                    except PageFault:
-                        self._note_bail("fault")
-                        raise
-                    if kind == K_POP:
-                        R[sp_reg] = (addr + 8) & MASK64
+                except PageFault:
+                    self._note_bail("fault")
+                    raise
+                if kind == K_POP:  # host blocks only
+                    R[sp_reg] = (addr + 8) & MASK64
                 if rd is not None:
                     R[rd] = int.from_bytes(data, "little")
                 i += 1
             elif action == _STORE:
-                if nxp:
+                try:
                     yield from port.store(addr, data)
-                else:
-                    try:
-                        yield from port.store(addr, data)
-                    except PageFault:
-                        self._note_bail("fault")
-                        raise
+                except PageFault:
+                    self._note_bail("fault")
+                    raise
                 if port.code_generation != gen:
                     itp.pc = op[-1]
                     self.invalidate("self_modify")

@@ -1,12 +1,14 @@
-"""Host superblocks whose memory ops leave the fast path.
+"""Superblocks whose memory ops leave the fast path.
 
 A compiled host load or store runs inline only when its translation hits
 (writable, for stores) host DRAM.  Anything else — a translation fault,
 a write-protected page, a cross-PCIe route — flushes the block and hands
-the whole access to the port.  Each case here runs with the JIT on and
+the whole access to the port.  An NxP block does the same for any route
+but BRAM and the local window.  Each case here runs with the JIT on and
 off and must agree bit for bit (retval, simulated ns, stats, DES events);
 the JIT's own counters are pinned so the slow route is known to have run
-inside a block.
+inside a block, and a fault on it counts ``jit.bailouts.fault`` on
+either side.
 """
 
 from repro.core.config import FlickConfig
@@ -60,6 +62,21 @@ func main(base, n) {
     }
     return i;
 }
+"""
+
+
+#: The same walk on the NxP: every store to the host heap crosses PCIe,
+#: so each one leaves the block for the port.
+NXP_STORE_WALK = """
+@nxp func walk(base, n) {
+    var i = 0;
+    while (i < n) {
+        store(base + i * 8, i);
+        i = i + 1;
+    }
+    return i;
+}
+func main(base, n) { return walk(base, n); }
 """
 
 
@@ -146,6 +163,26 @@ class TestHostSuperblockSlowRoutes:
             "jit.block_exec_total": 1,
             "jit.block_inst_total": 706,
             "jit.block_sim_ns": 1601.722222222137,
+            "jit.invalidations": 0,
+            "jit.bailouts.fault": 1,
+        }
+
+
+class TestNxpSuperblockSlowRoutes:
+    def test_write_protect_crashes_at_the_same_pc(self):
+        on_machine, on = _run(NXP_STORE_WALK, [60], True, _read_only_second_heap_page)
+        _, off = _run(NXP_STORE_WALK, [60], False, _read_only_second_heap_page)
+        assert on == off
+        kind, message, pc = on["crash"]
+        assert kind is ProcessCrash
+        assert "unexpected nxp page fault" in message and "write_protect" in message
+        assert pc == 0x401118
+        assert on["sim_ns"] == 76542.67383512536
+        assert on_machine.jit_stats() == {
+            "jit.compiled_blocks": 1,
+            "jit.block_exec_total": 1,
+            "jit.block_inst_total": 768,
+            "jit.block_sim_ns": 17130.0,
             "jit.invalidations": 0,
             "jit.bailouts.fault": 1,
         }

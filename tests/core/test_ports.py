@@ -227,12 +227,13 @@ def _reference_entry(pt, vaddr):
         tr = pt.translate(vaddr)
     except PageFault as fault:
         return ("fault", fault.kind)
-    return (tr.paddr - vaddr, tr.writable, tr.nx)
+    base = tr.page_base_vaddr
+    return (tr.paddr - vaddr, tr.writable, tr.nx), (base, base + tr.page_size, tr.paddr - vaddr)
 
 
 def _memo_entry(tc, vaddr):
     try:
-        return tc.entry(vaddr)
+        return tc.entry(vaddr), tc.page(vaddr)
     except PageFault as fault:
         return ("fault", fault.kind)
 
@@ -241,8 +242,10 @@ def _memo_entry(tc, vaddr):
 @given(ops=MEMO_OPS)
 def test_translation_memo_matches_page_tables(ops):
     """Random map / unmap / remap / NX-flip sequences over 4 KB, 2 MB and
-    1 GB pages: every lookup through the memo equals the reference walk
-    ``(paddr - vaddr, writable, nx)``, or both raise ``PageFault``."""
+    1 GB pages: every lookup through the memo equals the reference walk,
+    ``(paddr - vaddr, writable, nx)`` from ``entry`` and ``(page base,
+    page end, paddr - vaddr)`` from ``page``, or both raise
+    ``PageFault``."""
     phys = PhysicalMemory()
     phys.add_region(MemoryRegion("host", 0x0, 64 << 20))
     pt = PageTables(phys, RegionAllocator("frames", 1 << 20, 16 << 20))

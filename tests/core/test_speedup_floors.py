@@ -12,8 +12,10 @@ themselves on the wall clock:
 * the NxP-resident loop runs >= 6x faster, and the JIT alone gives
   >= 2.7x: its superblocks replay the NxP's I-fetch and D-TLB work
   per I-cache line and per page, not per instruction;
-* hosted op batching runs the million-access pointer chase >= 2x faster
-  than the per-op path, with the same retval, simulated ns and stats.
+* hosted op batching runs the million-access pointer chase >= 3.5x
+  faster than the per-op path, with the same retval, simulated ns and
+  stats: the batched chase prices, translates and books the D-TLB once
+  per page run, not per hop.
 
 Wall-clock ratios need a quiet machine, so the module is marked
 ``perf`` and the tier-1 run deselects it.  Each config gets one untimed
@@ -55,7 +57,7 @@ MICROLOOP_FLOORS = {
 }
 
 HOSTED_ACCESSES = 1_000_000
-HOSTED_FLOOR = 2.0
+HOSTED_FLOOR = 3.5
 
 
 def _best_walls(run, configs, rounds):
